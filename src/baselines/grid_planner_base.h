@@ -231,6 +231,10 @@ class GridPlannerBase : public core::Planner {
 
   const core::ReservationTable& reservations() const { return reservations_; }
 
+  ShardLockSet::Stats ShardLockStats() const override {
+    return commit_lock_.stats();
+  }
+
   /// Committed-state counters plus a live overlay of the shared
   /// heuristic-cache counters (the cache is planner-lifetime state that
   /// serial paths and speculative workers hit alike, so its totals live
@@ -250,7 +254,7 @@ class GridPlannerBase : public core::Planner {
       stats_view_.heuristic_build_seconds = h.build_seconds;
       stats_view_.heuristic_prefetch_build_seconds = h.prefetch_build_seconds;
     }
-    const ShardLockSet::Stats sl = commit_lock_.stats();
+    const ShardLockSet::Stats sl = ShardLockStats();
     stats_view_.shard_commits = sl.commits;
     stats_view_.shard_lock_contentions = sl.contentions;
     stats_view_.shard_commit_retries = sl.retries;

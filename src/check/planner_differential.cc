@@ -507,8 +507,13 @@ HeuristicFaultResult RunHeuristicFaultCalibration(int max_seeds) {
       return result;
     }
 
+    // Plant the largest overestimate the encoding holds (Manhattan + 508)
+    // at the nearest fence cell, stepping down by the encoding's 2-step
+    // grain as the origin distance grows, so the inversion survives.
     for (const auto& [cell, d] : fence) {
-      goal_table.CorruptForTest(cell, 50000 - 32 * d);
+      goal_table.CorruptForTest(cell,
+                                goal_table.LargestEncodable(cell) -
+                                    2 * (d - dmin));
     }
     const auto by_corrupt =
         engine.Plan(empty, 0, origin, destination, table_opts);

@@ -67,8 +67,10 @@ EngineFaultResult RunEngineFaultCalibration(int max_seeds);
 /// cost-mismatch audit (phase 4) against StoreFault::kCorruptHeuristicEntry:
 /// for each seed, a goal table is corrupted with *inadmissible, inverted*
 /// entries around the goal — every traversable goal neighbour N gets the
-/// overestimate 50000 - 32 * d(N, origin), so the farthest neighbour pops
-/// first and A* commits to a provably suboptimal goal arrival. The same
+/// overestimate LargestEncodable(N) - 2 * (d(N, origin) - d_min), the
+/// largest value the half-delta encoding holds at the nearest neighbour,
+/// so the farthest neighbour pops first and A* commits to a provably
+/// suboptimal goal arrival. The same
 /// seed's *clean* table must agree with Manhattan exactly (the control);
 /// the corrupted one must not. Seeds without enough distinct goal
 /// neighbours are skipped (interior-only corruption is provably recovered

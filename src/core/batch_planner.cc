@@ -178,7 +178,7 @@ BatchResult PlanBatchSharded(Planner& planner, TimeStep t,
   std::vector<std::unique_ptr<Planner::QueryContext>> contexts =
       MakeContexts(planner, pool.size());
 
-  const PlannerStats before = planner.stats();
+  const ShardLockSet::Stats before = planner.ShardLockStats();
 
   BatchResult result;
   result.routes.resize(queries.size());
@@ -267,12 +267,10 @@ BatchResult PlanBatchSharded(Planner& planner, TimeStep t,
   for (auto& context : contexts) planner.AbsorbQueryContext(*context);
   planner.NoteSpeculation(result.speculated, result.invalidated);
 
-  const PlannerStats after = planner.stats();
-  result.shard_commits = after.shard_commits - before.shard_commits;
-  result.shard_contentions =
-      after.shard_lock_contentions - before.shard_lock_contentions;
-  result.shard_retries =
-      after.shard_commit_retries - before.shard_commit_retries;
+  const ShardLockSet::Stats after = planner.ShardLockStats();
+  result.shard_commits = after.commits - before.commits;
+  result.shard_contentions = after.contentions - before.contentions;
+  result.shard_retries = after.retries - before.retries;
   return result;
 }
 

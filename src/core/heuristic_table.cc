@@ -1,6 +1,7 @@
 #include "core/heuristic_table.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 
 #include "common/logging.h"
@@ -19,83 +20,116 @@ std::optional<HeuristicMode> ParseHeuristicMode(std::string_view text) {
   return std::nullopt;
 }
 
-HeuristicTable::HeuristicTable(const WarehouseMatrix& matrix, GridCoord goal,
+NeighbourMask::NeighbourMask(const WarehouseMatrix& matrix)
+    : bits_(static_cast<std::size_t>(matrix.CellCount()), 0) {
+  // One row-major pass, one rack probe per cell: an open cell marks itself
+  // in each in-bounds neighbour's mask (it is that neighbour's east, west,
+  // south or north side respectively).
+  const std::int32_t width = matrix.width();
+  const std::int32_t height = matrix.height();
+  std::size_t index = 0;
+  for (std::int32_t row = 0; row < height; ++row) {
+    for (std::int32_t col = 0; col < width; ++col, ++index) {
+      if (matrix.IsRack(GridCoord{row, col})) continue;
+      if (col > 0) bits_[index - 1] |= kEast;
+      if (col + 1 < width) bits_[index + 1] |= kWest;
+      if (row > 0) bits_[index - static_cast<std::size_t>(width)] |= kSouth;
+      if (row + 1 < height) {
+        bits_[index + static_cast<std::size_t>(width)] |= kNorth;
+      }
+    }
+  }
+}
+
+namespace {
+
+/// Per-thread BFS workspace, reused across builds: int32 distances (-1 =
+/// unvisited) and a flat FIFO of cell indices. Each cell enters the queue
+/// at most once, so the queue never outgrows the cell count.
+struct BfsScratch {
+  std::vector<std::int32_t> dist;
+  std::vector<std::int32_t> queue;
+};
+
+BfsScratch& ThreadScratch() {
+  thread_local BfsScratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
+HeuristicTable::HeuristicTable(const WarehouseMatrix& matrix,
+                               const NeighbourMask& open, GridCoord goal,
                                const std::vector<std::int32_t>* region_of_cell,
                                std::size_t region_count)
     : matrix_(matrix), goal_(goal) {
   CARP_CHECK(matrix_.InBounds(goal_));
   const std::size_t cells = static_cast<std::size_t>(matrix_.CellCount());
-  dist_.assign(cells, kUnreachable16);
+  CARP_CHECK(cells <= static_cast<std::size_t>(INT32_MAX));  // int32 queue
   const bool regions = region_of_cell != nullptr && region_count > 0;
-  if (regions) {
-    CARP_CHECK(region_of_cell->size() == cells);
-    region_min_.assign(region_count, kUnreachable16);
-  }
+  if (regions) CARP_CHECK(region_of_cell->size() == cells);
 
-  // Traversability bitmap: one load + mask per neighbour probe instead of
-  // a coord round-trip through the matrix.
-  const std::int64_t width = matrix_.width();
-  const std::int64_t height = matrix_.height();
-  std::vector<std::uint64_t> open((cells + 63) / 64, 0);
-  for (std::int64_t index = 0; index < matrix_.CellCount(); ++index) {
-    if (matrix_.IsTraversable(matrix_.CoordOf(index))) {
-      open[static_cast<std::size_t>(index >> 6)] |=
-          std::uint64_t{1} << (index & 63);
-    }
-  }
-
-  // Backward BFS from the goal, as a level-synchronous frontier sweep over
-  // flat arrays: the dist array doubles as the visited set, the frontier
-  // is a plain vector (no deque), and the per-region minima fold into the
-  // settle step — BFS settles in nondecreasing distance, so a region's
-  // first settled cell IS its minimum.
-  //
-  // The goal may itself be a rack cell (routes may end on one:
-  // allow_endpoint_racks), but every intermediate step must be
-  // traversable, so expansion only enqueues aisle cells.
-  auto settle = [&](std::int64_t index, std::uint16_t d) {
-    dist_[static_cast<std::size_t>(index)] = d;
-    if (regions) {
-      const std::int32_t r = (*region_of_cell)[static_cast<std::size_t>(index)];
-      if (r >= 0 && static_cast<std::size_t>(r) < region_min_.size() &&
-          region_min_[static_cast<std::size_t>(r)] == kUnreachable16) {
-        region_min_[static_cast<std::size_t>(r)] = d;
+  // Backward BFS from the goal over the open-neighbour mask. The goal may
+  // itself be a rack cell (routes may end on one: allow_endpoint_racks),
+  // but the mask only ever names traversable neighbours, so every
+  // intermediate step is an aisle cell. Mask bits exclude out-of-bounds
+  // neighbours, so the offsets never leave the grid.
+  BfsScratch& scratch = ThreadScratch();
+  std::vector<std::int32_t>& dist = scratch.dist;
+  dist.assign(cells, -1);
+  if (scratch.queue.size() < cells) scratch.queue.resize(cells);
+  std::int32_t* const queue = scratch.queue.data();
+  const std::int32_t width = matrix_.width();
+  const auto start = static_cast<std::int32_t>(matrix_.Index(goal_));
+  dist[static_cast<std::size_t>(start)] = 0;
+  queue[0] = start;
+  std::size_t head = 0;
+  std::size_t tail = 1;
+  while (head < tail) {
+    const std::int32_t index = queue[head++];
+    const std::int32_t next = dist[static_cast<std::size_t>(index)] + 1;
+    const std::uint8_t m = open[static_cast<std::size_t>(index)];
+    auto visit = [&](std::int32_t ni) {
+      std::int32_t& d = dist[static_cast<std::size_t>(ni)];
+      if (d < 0) {
+        d = next;
+        queue[tail++] = ni;
       }
-    }
-  };
+    };
+    if (m & NeighbourMask::kWest) visit(index - 1);
+    if (m & NeighbourMask::kEast) visit(index + 1);
+    if (m & NeighbourMask::kNorth) visit(index - width);
+    if (m & NeighbourMask::kSouth) visit(index + width);
+  }
 
-  std::vector<std::int64_t> frontier;
-  std::vector<std::int64_t> next;
-  settle(matrix_.Index(goal_), 0);
-  frontier.push_back(matrix_.Index(goal_));
-  std::uint32_t level = 0;
-  while (!frontier.empty()) {
-    ++level;
-    const std::uint16_t d =
-        level >= kMaxEncodable ? kMaxEncodable
-                               : static_cast<std::uint16_t>(level);
-    next.clear();
-    for (const std::int64_t index : frontier) {
-      const std::int64_t col = index % width;
-      const std::int64_t row = index / width;
-      const std::int64_t candidates[4] = {
-          col > 0 ? index - 1 : -1,
-          col + 1 < width ? index + 1 : -1,
-          row > 0 ? index - width : -1,
-          row + 1 < height ? index + width : -1,
-      };
-      for (const std::int64_t ni : candidates) {
-        if (ni < 0) continue;
-        if ((open[static_cast<std::size_t>(ni >> 6)] &
-             (std::uint64_t{1} << (ni & 63))) == 0) {
-          continue;  // rack or out-of-layout cell
+  // Encode pass, row-major: each distance becomes its half-delta over
+  // Manhattan, and the per-region minima (exact uint16, saturating one
+  // below the sentinel) fold in on the way.
+  half_delta_.resize(cells);
+  if (regions) region_min_.assign(region_count, kUnreachable16);
+  std::size_t index = 0;
+  for (std::int32_t row = 0; row < matrix_.height(); ++row) {
+    const TimeStep row_span = row > goal_.row ? row - goal_.row
+                                              : goal_.row - row;
+    for (std::int32_t col = 0; col < width; ++col, ++index) {
+      const std::int32_t d = dist[index];
+      if (d < 0) {
+        half_delta_[index] = kUnreachable;
+        continue;
+      }
+      const TimeStep col_span = col > goal_.col ? col - goal_.col
+                                                : goal_.col - col;
+      half_delta_[index] = Encode(d, row_span + col_span);
+      if (regions) {
+        const std::int32_t r = (*region_of_cell)[index];
+        if (r >= 0 && static_cast<std::size_t>(r) < region_count) {
+          const auto clamped = static_cast<std::uint16_t>(
+              std::min<std::int32_t>(d, kUnreachable16 - 1));
+          std::uint16_t& best = region_min_[static_cast<std::size_t>(r)];
+          best = std::min(best, clamped);
         }
-        if (dist_[static_cast<std::size_t>(ni)] != kUnreachable16) continue;
-        settle(ni, d);
-        next.push_back(ni);
       }
     }
-    frontier.swap(next);
   }
 }
 
@@ -108,6 +142,11 @@ HeuristicTableCache::HeuristicTableCache(
       table_bytes_(HeuristicTable::BytesFor(matrix, region_count)),
       shards_(static_cast<std::size_t>(std::max(options.shards, 1))) {
   shard_budget_bytes_ = options.budget_bytes / shards_.size();
+}
+
+const NeighbourMask& HeuristicTableCache::open() const {
+  std::call_once(open_once_, [this] { open_.emplace(matrix_); });
+  return *open_;
 }
 
 std::shared_ptr<const HeuristicTable> HeuristicTableCache::Acquire(
@@ -177,8 +216,8 @@ std::shared_ptr<const HeuristicTable> HeuristicTableCache::BuildAndPublish(
   Stopwatch watch;
   watch.Start();
   auto table = std::make_shared<const HeuristicTable>(
-      matrix_, goal, region_of_cell_.empty() ? nullptr : &region_of_cell_,
-      region_count_);
+      matrix_, open(), goal,
+      region_of_cell_.empty() ? nullptr : &region_of_cell_, region_count_);
   const std::int64_t lap_ns = watch.Stop();
   build_ns_.fetch_add(lap_ns, std::memory_order_relaxed);
   if (prefetched) {

@@ -35,8 +35,29 @@ enum class HeuristicMode : std::uint8_t { kManhattan = 0, kTable = 1 };
 std::string_view ToString(HeuristicMode mode);
 std::optional<HeuristicMode> ParseHeuristicMode(std::string_view text);
 
-/// True shortest-distance table of one goal cell: dist[cell] = length of
-/// the shortest collision-oblivious route from `cell` to `goal`, or
+/// Per-cell 4-bit open-neighbour mask of a matrix: bit kWest / kEast /
+/// kNorth / kSouth of cell i is set when that neighbour is in bounds and
+/// traversable. Built in one row-major pass; a table build walks it with
+/// `index ± 1` / `index ± width` offsets, so the BFS needs no coordinate
+/// arithmetic and no bounds checks. HeuristicTableCache builds one per
+/// matrix and shares it across every table build.
+class NeighbourMask {
+ public:
+  static constexpr std::uint8_t kWest = 1;
+  static constexpr std::uint8_t kEast = 2;
+  static constexpr std::uint8_t kNorth = 4;
+  static constexpr std::uint8_t kSouth = 8;
+
+  explicit NeighbourMask(const WarehouseMatrix& matrix);
+
+  std::uint8_t operator[](std::size_t index) const { return bits_[index]; }
+
+ private:
+  std::vector<std::uint8_t> bits_;  // indexed by matrix.Index(cell)
+};
+
+/// True shortest-distance table of one goal cell: the length of the
+/// shortest collision-oblivious route from each cell to `goal`, or
 /// kInfiniteTime when no such route exists. Built by one backward BFS over
 /// the matrix (moves are symmetric, so backward = forward distances).
 ///
@@ -44,61 +65,77 @@ std::optional<HeuristicMode> ParseHeuristicMode(std::string_view text);
 /// matching SpaceTimeAStarOptions::allow_endpoint_racks); every other rack
 /// cell keeps kInfiniteTime. All intermediate steps go through aisle cells.
 ///
-/// ## Compact encoding (DESIGN.md §2j)
+/// ## Half-delta encoding (DESIGN.md §2j)
 ///
-/// Distances are stored as uint16: 0xFFFF is the "unreachable" sentinel
-/// (decoded to kInfiniteTime) and true distances of 0xFFFE or more
-/// saturate at 0xFFFE. Saturation keeps the bound admissible (the stored
-/// value never exceeds the true distance) and consistent (clamping is
-/// monotone, so neighbouring encoded values still differ by at most one).
-/// No paper warehouse comes within two orders of magnitude of the clamp;
-/// it exists so pathological maps degrade gracefully instead of wrapping.
+/// A cell stores `s = (d − Manhattan(cell, goal)) / 2` as one byte. The
+/// grid is bipartite, so d and Manhattan share their parity and s is an
+/// integer; d never undercuts Manhattan, so s >= 0. 0xFF is the
+/// "unreachable" sentinel and s saturates at 0xFE (Manhattan + 508).
+/// Lookups decode `Manhattan + 2·s`: exact below saturation (the paper
+/// warehouses peak at s = 3), and admissible and consistent at it — along
+/// one step d and Manhattan each move by exactly 1, so s moves by 0 or ±1
+/// and the clamped bound still moves by at most 1.
 ///
 /// Immutable after construction, so a const table is safe to share across
 /// threads without synchronisation.
 class HeuristicTable {
  public:
   /// Encoded "no route" sentinel.
+  static constexpr std::uint8_t kUnreachable = 0xFF;
+  /// Largest encodable half-delta; longer detours saturate here.
+  static constexpr std::uint8_t kMaxHalfDelta = 0xFE;
+  /// RegionMin's "no route" sentinel; region minima saturate one below.
   static constexpr std::uint16_t kUnreachable16 = 0xFFFF;
-  /// Largest encodable finite distance; longer distances saturate here.
-  static constexpr std::uint16_t kMaxEncodable = 0xFFFE;
 
-  /// Builds the table. When `region_of_cell` is non-null (size CellCount,
-  /// entries in [0, region_count) or negative for "no region"), per-region
-  /// distance minima are collected as well — SRP passes its strip ids here,
-  /// which yields the strip-level distance table of the strip-graph search.
-  HeuristicTable(const WarehouseMatrix& matrix, GridCoord goal,
+  /// Builds the table over a precomputed open-neighbour mask of `matrix`.
+  /// When `region_of_cell` is non-null (size CellCount, entries in
+  /// [0, region_count) or negative for "no region"), per-region distance
+  /// minima are collected as well — SRP passes its strip ids here, which
+  /// yields the strip-level distance table of the strip-graph search.
+  HeuristicTable(const WarehouseMatrix& matrix, const NeighbourMask& open,
+                 GridCoord goal,
                  const std::vector<std::int32_t>* region_of_cell = nullptr,
                  std::size_t region_count = 0);
 
+  /// Stand-alone build (tests and oracles): computes the mask for this one
+  /// table. Cached builds share the cache's mask instead.
+  HeuristicTable(const WarehouseMatrix& matrix, GridCoord goal,
+                 const std::vector<std::int32_t>* region_of_cell = nullptr,
+                 std::size_t region_count = 0)
+      : HeuristicTable(matrix, NeighbourMask(matrix), goal, region_of_cell,
+                       region_count) {}
+
   GridCoord goal() const { return goal_; }
 
-  /// Exact distance from `cell` to the goal, or kInfiniteTime when the
-  /// goal is unreachable from `cell` (rack cells, disconnected pockets).
+  /// Exact distance from `cell` to the goal (below saturation), or
+  /// kInfiniteTime when the goal is unreachable from `cell` (rack cells,
+  /// disconnected pockets).
   TimeStep At(GridCoord cell) const {
-    return Decode(dist_[static_cast<std::size_t>(matrix_.Index(cell))]);
+    const std::uint8_t s = half_delta_[Slot(cell)];
+    return s == kUnreachable ? kInfiniteTime
+                             : ManhattanDistance(cell, goal_) + 2 * TimeStep{s};
   }
 
-  /// Admissible lower bound usable from *any* cell: the exact distance
-  /// where the table is finite, Manhattan otherwise (Manhattan never
-  /// exceeds the true distance, so the fallback stays admissible; finite
-  /// cells never neighbour infinite traversable cells — BFS floods whole
-  /// components — so the combined bound is also consistent).
+  /// Admissible lower bound usable from *any* cell: the table distance
+  /// where it is finite, Manhattan otherwise (Manhattan never exceeds the
+  /// true distance, so the fallback stays admissible; finite cells never
+  /// neighbour infinite traversable cells — BFS floods whole components —
+  /// so the combined bound is also consistent).
   TimeStep LowerBound(GridCoord cell) const {
-    const TimeStep d = At(cell);
-    return d < kInfiniteTime ? d : ManhattanDistance(cell, goal_);
+    const std::uint8_t s = half_delta_[Slot(cell)];
+    const TimeStep manhattan = ManhattanDistance(cell, goal_);
+    return s == kUnreachable ? manhattan : manhattan + 2 * TimeStep{s};
   }
 
   /// Starts pulling `cell`'s table line toward L1 ahead of a LowerBound
   /// call. Pure latency hint with no architectural effect: the strip
   /// searches touch a different goal's table on nearly every query, so
-  /// these scattered uint16 loads rarely hit cache; issuing the hints for
-  /// a whole adjacency batch overlaps the misses instead of paying them
-  /// serially at each edge relaxation.
+  /// these scattered loads rarely hit cache; issuing the hints for a whole
+  /// adjacency batch overlaps the misses instead of paying them serially
+  /// at each edge relaxation.
   void PrefetchCell(GridCoord cell) const {
 #if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(dist_.data() +
-                       static_cast<std::size_t>(matrix_.Index(cell)));
+    __builtin_prefetch(half_delta_.data() + Slot(cell));
 #endif
   }
 
@@ -108,11 +145,20 @@ class HeuristicTable {
   /// goal from anywhere in the region in fewer steps.
   TimeStep RegionMin(std::int32_t region) const {
     const auto r = static_cast<std::size_t>(region);
-    return r < region_min_.size() ? Decode(region_min_[r]) : kInfiniteTime;
+    if (r >= region_min_.size() || region_min_[r] == kUnreachable16) {
+      return kInfiniteTime;
+    }
+    return region_min_[r];
+  }
+
+  /// The largest distance the encoding can hold at `cell`: Manhattan plus
+  /// the saturated half-delta. CorruptForTest clamps overestimates here.
+  TimeStep LargestEncodable(GridCoord cell) const {
+    return ManhattanDistance(cell, goal_) + 2 * TimeStep{kMaxHalfDelta};
   }
 
   std::size_t RetainedBytes() const {
-    return dist_.capacity() * sizeof(std::uint16_t) +
+    return half_delta_.capacity() * sizeof(std::uint8_t) +
            region_min_.capacity() * sizeof(std::uint16_t);
   }
 
@@ -120,34 +166,40 @@ class HeuristicTable {
   /// cache charges against its budget, known before any table is built.
   static std::size_t BytesFor(const WarehouseMatrix& matrix,
                               std::size_t region_count) {
-    return (static_cast<std::size_t>(matrix.CellCount()) + region_count) *
-           sizeof(std::uint16_t);
+    return static_cast<std::size_t>(matrix.CellCount()) *
+               sizeof(std::uint8_t) +
+           region_count * sizeof(std::uint16_t);
   }
 
   /// TEST ONLY — overwrites one entry, deliberately breaking the
   /// "immutable after construction" contract. The differential harness's
   /// kCorruptHeuristicEntry calibration uses it to prove the paired
   /// cost-mismatch audit catches an inadmissible table (the heuristic
-  /// sibling of the stores' CorruptSummaryForTest hooks). Never call on a
-  /// table that is shared across threads.
+  /// sibling of the stores' CorruptSummaryForTest hooks). `value` goes
+  /// through the table's own encoding: kInfiniteTime plants the sentinel,
+  /// values past LargestEncodable(cell) plant that largest overestimate,
+  /// and values below Manhattan decode as Manhattan. Never call on a table
+  /// that is shared across threads.
   void CorruptForTest(GridCoord cell, TimeStep value) {
-    dist_[static_cast<std::size_t>(matrix_.Index(cell))] = Encode(value);
+    half_delta_[Slot(cell)] =
+        Encode(value, ManhattanDistance(cell, goal_));
   }
 
  private:
-  static TimeStep Decode(std::uint16_t stored) {
-    return stored == kUnreachable16 ? kInfiniteTime
-                                    : static_cast<TimeStep>(stored);
+  std::size_t Slot(GridCoord cell) const {
+    return static_cast<std::size_t>(matrix_.Index(cell));
   }
-  static std::uint16_t Encode(TimeStep d) {
-    if (d >= kInfiniteTime) return kUnreachable16;
-    if (d >= static_cast<TimeStep>(kMaxEncodable)) return kMaxEncodable;
-    return static_cast<std::uint16_t>(d);
+  static std::uint8_t Encode(TimeStep d, TimeStep manhattan) {
+    if (d >= kInfiniteTime) return kUnreachable;
+    const TimeStep half = (d - manhattan) / 2;
+    if (half <= 0) return 0;
+    return half >= kMaxHalfDelta ? kMaxHalfDelta
+                                 : static_cast<std::uint8_t>(half);
   }
 
   const WarehouseMatrix& matrix_;
   GridCoord goal_;
-  std::vector<std::uint16_t> dist_;        // indexed by matrix.Index(cell)
+  std::vector<std::uint8_t> half_delta_;   // indexed by matrix.Index(cell)
   std::vector<std::uint16_t> region_min_;  // indexed by region id
 };
 
@@ -171,9 +223,9 @@ struct HeuristicCacheStats {
 /// constructor's `= {}` default argument can see the member initializers —
 /// GCC defers parsing nested-class NSDMIs to the enclosing class's end.)
 struct HeuristicTableCacheOptions {
-  /// Total byte budget across all shards. The default comfortably holds
-  /// the picker-station working set of the paper's largest warehouse
-  /// while bounding rack-face churn.
+  /// Total byte budget across all shards. The default holds the whole
+  /// goal working set of a cold day on the paper's largest warehouse
+  /// (~680 one-byte W-3 tables) while still bounding pathological churn.
   std::size_t budget_bytes = 64ull << 20;
 
   /// Lock shards; goals hash across them so concurrent workers rarely
@@ -288,7 +340,13 @@ class HeuristicTableCache {
   std::shared_ptr<const HeuristicTable> BuildAndPublish(GridCoord goal,
                                                         bool prefetched) const;
 
+  /// The matrix's open-neighbour mask, built by the first table build
+  /// (so constructing a planner stays free) and shared by all later ones.
+  const NeighbourMask& open() const;
+
   const WarehouseMatrix& matrix_;
+  mutable std::once_flag open_once_;
+  mutable std::optional<NeighbourMask> open_;
   std::vector<std::int32_t> region_of_cell_;
   std::size_t region_count_ = 0;
   std::size_t table_bytes_ = 0;        // per-table cost, fixed by the matrix

@@ -11,6 +11,7 @@
 
 #include "common/logging.h"
 #include "common/memory_accounting.h"
+#include "common/sharded_lock.h"
 #include "common/types.h"
 #include "core/kernel_dispatch.h"
 #include "core/route.h"
@@ -376,6 +377,20 @@ class Planner : public MemoryMetered {
   /// at a point where committed state and route log agree — the safe spot
   /// for sampled lifecycle audits deferred off the concurrent path.
   virtual void OnShardedFlush() {}
+
+  /// Lifetime shard-lock telemetry: the shard_* fields of stats(). PlanBatch
+  /// differences it around every sharded batch, so planners owning a
+  /// ShardLockSet override it to read the lock counters directly instead
+  /// of assembling the whole stats() view. The default reads stats(), which
+  /// keeps forwarding wrappers correct.
+  virtual ShardLockSet::Stats ShardLockStats() const {
+    const PlannerStats& s = stats();
+    ShardLockSet::Stats out;
+    out.commits = s.shard_commits;
+    out.contentions = s.shard_lock_contentions;
+    out.retries = s.shard_commit_retries;
+    return out;
+  }
 
   /// Cost of one committed route under the planner's objective — the
   /// paper's per-route completion term st_r + |G_r| from the total-cost

@@ -47,6 +47,14 @@ Simulator::Simulator(const layout::Warehouse& warehouse,
     : warehouse_(warehouse), planner_(planner), options_(options) {}
 
 RunMetrics Simulator::Run(const std::vector<DeliveryTask>& tasks) {
+  if (options_.retire_routes) {
+    for (const DeliveryTask& task : tasks) {
+      CARP_CHECK(task.arrival >= last_makespan_)
+          << "task " << task.id << " arrives at " << task.arrival
+          << ", before the previous run's makespan " << last_makespan_
+          << ": that run released routes still executing then";
+    }
+  }
   RunMetrics metrics;
   metrics.algorithm = std::string(planner_.name());
   metrics.total_tasks = static_cast<std::int64_t>(tasks.size());
@@ -350,6 +358,7 @@ RunMetrics Simulator::Run(const std::vector<DeliveryTask>& tasks) {
   }
 
   metrics.makespan = makespan;
+  last_makespan_ = std::max(last_makespan_, makespan);
   metrics.total_tc_seconds = planning_watch.elapsed_seconds();
   metrics.planner_stats = planner_.stats();
   metrics.end_live_routes = planner_.live_routes();

@@ -101,12 +101,19 @@ class Simulator {
             const SimulatorOptions& options = {});
 
   /// Runs one operating day to completion and returns its metrics.
+  ///
+  /// Consecutive runs share the planner and its clock. With
+  /// `retire_routes` on, a run releases every route of its day, which is
+  /// only legal once no later query can emerge before that route ends — so
+  /// no task of a run may arrive before the previous run's makespan on
+  /// this simulator (checked; start each day at the previous makespan).
   RunMetrics Run(const std::vector<workload::DeliveryTask>& tasks);
 
  private:
   const layout::Warehouse& warehouse_;
   core::Planner& planner_;
   SimulatorOptions options_;
+  TimeStep last_makespan_ = 0;  // of the previous Run on this simulator
 };
 
 }  // namespace carp::sim

@@ -355,7 +355,7 @@ std::optional<SrpPath> SrpPlanner::StaticFirstPlan(
 
     // Two-pass adjacency scan: collect contacts and start the table-line
     // loads for the whole neighbourhood first, then relax. In table mode
-    // each entry-cell bound is a scattered uint16 load into this goal's
+    // each entry-cell bound is a scattered one-byte load into this goal's
     // distance table; batching the prefetches overlaps those misses
     // instead of stalling once per edge. Pass order equals the original
     // single loop, so labels, pushes and routes are bit-identical.

@@ -246,6 +246,10 @@ class SrpPlanner final : public core::Planner {
   /// the day's working-set peak even after all routes were released.
   std::size_t peak_segment_count() const { return peak_segments_; }
 
+  ShardLockSet::Stats ShardLockStats() const override {
+    return shard_locks_.stats();
+  }
+
   /// Committed-state counters plus live overlays of the shared
   /// heuristic-cache counters (see GridPlannerBase::stats for rationale)
   /// and the segment stores' collision-kernel counters (the stores count
@@ -276,7 +280,7 @@ class SrpPlanner final : public core::Planner {
     stats_view_.collision_kernel = ss.kernel;
     stats_view_.search_engine = engine_;
     stats_view_.buckets_erased = ss.buckets_erased;
-    const ShardLockSet::Stats sl = shard_locks_.stats();
+    const ShardLockSet::Stats sl = ShardLockStats();
     stats_view_.shard_commits = sl.commits;
     stats_view_.shard_lock_contentions = sl.contentions;
     stats_view_.shard_commit_retries = sl.retries;

@@ -16,6 +16,9 @@
 #include "core/spatial_paths.h"
 #include "layout/layout_generator.h"
 #include "layout/presets.h"
+#include "sim/simulator.h"
+#include "workload/scenario.h"
+#include "workload/task_generator.h"
 
 namespace carp::core {
 namespace {
@@ -165,28 +168,101 @@ TEST(HeuristicTableTest, NeverExceedsValidRouteCosts) {
   }
 }
 
-/// The uint16 encoding (DESIGN.md §2j): distances beyond the encodable
-/// range saturate at kMaxEncodable (still a lower bound, so admissible) and
-/// the unreachable sentinel round-trips to kInfiniteTime.
-TEST(HeuristicTableTest, Uint16EncodingSaturatesAdmissibly) {
-  const layout::Warehouse w = Paper("W-1");
-  HeuristicTable table(w.matrix, w.pickers.front());
-  const GridCoord probe = w.pickers.back();
-  const TimeStep exact = table.At(probe);
-  ASSERT_LT(exact, kInfiniteTime);
+/// A serpentine map: full-width rack walls on every odd row, each with one
+/// gap, alternating between the east and west ends, so the true distance
+/// from the bottom rows to a goal in the top-left corner runs over a
+/// thousand steps past Manhattan.
+WarehouseMatrix Serpentine(std::int32_t walls, std::int32_t width) {
+  WarehouseMatrix matrix(2 * walls + 1, width);
+  for (std::int32_t k = 0; k < walls; ++k) {
+    const std::int32_t gap = k % 2 == 0 ? width - 1 : 0;
+    for (std::int32_t col = 0; col < width; ++col) {
+      if (col != gap) matrix.SetRack(GridCoord{2 * k + 1, col}, true);
+    }
+  }
+  return matrix;
+}
 
-  // Small values round-trip exactly.
-  table.CorruptForTest(probe, 7);
-  EXPECT_EQ(table.At(probe), 7);
-  // Values past the encodable range clamp instead of wrapping.
-  table.CorruptForTest(probe, TimeStep{HeuristicTable::kMaxEncodable} + 1000);
-  EXPECT_EQ(table.At(probe), TimeStep{HeuristicTable::kMaxEncodable});
-  // The sentinel decodes back to "unreachable".
+/// The half-delta encoding (DESIGN.md §2j): the sentinel round-trips, the
+/// distance is exact up to Manhattan + 508, and past it the saturated
+/// bound stays admissible and consistent — on a map built to saturate.
+TEST(HeuristicTableTest, HalfDeltaEncodingSaturatesAdmissibly) {
+  const WarehouseMatrix matrix = Serpentine(/*walls=*/20, /*width=*/64);
+  const GridCoord goal{0, 0};
+  HeuristicTable table(matrix, goal);
+  const auto bfs = SpatialPathFinder(matrix).DistancesFrom(goal);
+  const TimeStep clamp = 2 * TimeStep{HeuristicTable::kMaxHalfDelta};
+
+  TimeStep max_excess = 0;
+  GridCoord nbrs[4];
+  for (std::int64_t i = 0; i < matrix.CellCount(); ++i) {
+    const GridCoord cell = matrix.CoordOf(i);
+    const TimeStep manhattan = ManhattanDistance(cell, goal);
+    if (!matrix.IsTraversable(cell)) {
+      EXPECT_EQ(table.At(cell), kInfiniteTime) << cell;
+      EXPECT_EQ(table.LowerBound(cell), manhattan) << cell;
+      continue;
+    }
+    const auto ref = bfs[static_cast<std::size_t>(i)];
+    ASSERT_GE(ref, 0) << cell;
+    const TimeStep d = TimeStep{ref};
+    max_excess = std::max(max_excess, d - manhattan);
+    // Exact below saturation, Manhattan + 508 at or past it.
+    EXPECT_EQ(table.LowerBound(cell), std::min(d, manhattan + clamp)) << cell;
+    EXPECT_LE(table.LowerBound(cell), d) << cell;
+    const int cnt = matrix.Neighbors(cell, nbrs);
+    for (int k = 0; k < cnt; ++k) {
+      if (!matrix.IsTraversable(nbrs[k])) continue;
+      const TimeStep gap = table.LowerBound(cell) - table.LowerBound(nbrs[k]);
+      EXPECT_LE(gap, 1) << cell << " -> " << nbrs[k];
+      EXPECT_GE(gap, -1) << cell << " -> " << nbrs[k];
+    }
+  }
+  ASSERT_GT(max_excess, clamp) << "the map must drive cells into saturation";
+
+  // The sentinel round-trips; planted values go through the same encoding.
+  const GridCoord probe{2 * 20, 0};
+  const TimeStep exact = table.At(probe);
   table.CorruptForTest(probe, kInfiniteTime);
   EXPECT_EQ(table.At(probe), kInfiniteTime);
-  // Restore so the table is honest again (documents the round trip).
-  table.CorruptForTest(probe, exact);
-  EXPECT_EQ(table.At(probe), exact);
+  EXPECT_EQ(table.LowerBound(probe), ManhattanDistance(probe, goal));
+  table.CorruptForTest(probe, table.LargestEncodable(probe) + 1000);
+  EXPECT_EQ(table.At(probe), table.LargestEncodable(probe));
+  EXPECT_EQ(table.At(probe), exact);  // the probe row is saturated already
+  table.CorruptForTest(probe, ManhattanDistance(probe, goal) + 6);
+  EXPECT_EQ(table.At(probe), ManhattanDistance(probe, goal) + 6);
+}
+
+/// What keeps routes bit-identical to exact distances: on the paper
+/// presets no picker, rack-access or rack goal comes anywhere near the
+/// saturation point (the largest true detour over Manhattan is 6 steps),
+/// so every decoded distance is exact.
+TEST(HeuristicTableTest, PaperGoalsNeverSaturate) {
+  const TimeStep clamp = 2 * TimeStep{HeuristicTable::kMaxHalfDelta};
+  for (const char* name : {"W-1", "W-2", "W-3"}) {
+    const layout::Warehouse w = Paper(name);
+    const NeighbourMask open(w.matrix);
+    std::vector<GridCoord> goals = w.pickers;
+    for (std::size_t i = 0; i < w.racks.size(); i += 97) {
+      goals.push_back(w.racks[i]);
+      goals.push_back(w.rack_access[i]);
+    }
+    TimeStep max_excess = 0;
+    for (const GridCoord goal : goals) {
+      const HeuristicTable table(w.matrix, open, goal);
+      for (std::int32_t row = 0; row < w.matrix.height(); ++row) {
+        for (std::int32_t col = 0; col < w.matrix.width(); ++col) {
+          const GridCoord cell{row, col};
+          const TimeStep d = table.At(cell);
+          if (d >= kInfiniteTime) continue;
+          max_excess =
+              std::max(max_excess, d - ManhattanDistance(cell, goal));
+        }
+      }
+    }
+    EXPECT_LT(max_excess, clamp) << name;
+    EXPECT_LE(max_excess, 6) << name << ": paper detours grew";
+  }
 }
 
 TEST(HeuristicTableCacheTest, HitsAndMissesAreCounted) {
@@ -390,29 +466,29 @@ TEST(HeuristicTableCacheTest, PrefetchLateWhenDemandBeatsTheBuild) {
   EXPECT_EQ(s.hits, 1);  // the waiter's post-publication acquire
 }
 
-/// Eviction-thrash regression (ISSUE 9 satellite): with the compact uint16
-/// encoding, a W-3-sized working set of goals fits the *default* budget —
-/// two full passes over every goal must rebuild nothing.
+/// Eviction-thrash regression: a cold W-3 day (the `day-w3` benchmark
+/// workload) touches about 680 distinct goals — every picker plus the
+/// day's rack faces. With one-byte half-delta tables that working set fits
+/// the *default* budget, so two full passes over it must rebuild nothing.
 TEST(HeuristicTableCacheTest, PaperWorkingSetNeverRebuildsUnderDefaultBudget) {
   const layout::Warehouse w = Paper("W-3");
   HeuristicTableCache cache(w.matrix);
-  // The measured W-3 run touches ~85 distinct goals (all pickers plus the
-  // day's rack faces); sample rack_access to that size.
+  constexpr std::size_t kWorkingSet = 680;
   std::vector<GridCoord> goals;
   std::unordered_set<std::int64_t> seen;
   auto add = [&](GridCoord g) {
     if (seen.insert(w.matrix.Index(g)).second) goals.push_back(g);
   };
   for (const GridCoord g : w.pickers) add(g);
-  const std::size_t want_racks = goals.size() < 85 ? 85 - goals.size() : 0;
+  ASSERT_LT(goals.size(), kWorkingSet);
   const std::size_t stride =
-      std::max<std::size_t>(1, w.rack_access.size() / std::max<std::size_t>(
-                                                          want_racks, 1));
-  for (std::size_t i = 0; i < w.rack_access.size() && goals.size() < 85;
-       i += stride) {
+      std::max<std::size_t>(1, w.rack_access.size() /
+                                   (kWorkingSet - goals.size()));
+  for (std::size_t i = 0;
+       i < w.rack_access.size() && goals.size() < kWorkingSet; i += stride) {
     add(w.rack_access[i]);
   }
-  ASSERT_GE(goals.size(), 64u);
+  ASSERT_EQ(goals.size(), kWorkingSet);
 
   for (int pass = 0; pass < 2; ++pass) {
     for (const GridCoord goal : goals) {
@@ -423,9 +499,8 @@ TEST(HeuristicTableCacheTest, PaperWorkingSetNeverRebuildsUnderDefaultBudget) {
   EXPECT_EQ(s.rebuilds, 0) << "eviction thrash under the default budget";
   EXPECT_EQ(s.evictions, 0);
   EXPECT_EQ(s.misses, static_cast<std::int64_t>(goals.size()));
-  // The uint16 encoding is what makes this fit: the retained working set
-  // must sit at least 40% below the PR 4 int64-era 53.9 MB footprint.
-  EXPECT_LE(s.bytes, static_cast<std::size_t>(53.9 * 0.6 * (1 << 20)));
+  EXPECT_EQ(s.bytes, goals.size() * cache.table_bytes());
+  EXPECT_LE(s.bytes, HeuristicTableCacheOptions{}.budget_bytes);
 }
 
 /// Concurrent Prefetch + Acquire under an eviction-heavy tiny budget: the
@@ -461,6 +536,42 @@ TEST(HeuristicTableCacheTest, ConcurrentPrefetchUnderEvictionPressure) {
   // Attribution never exceeds what was scheduled (evicted-before-use
   // prefetches are the only ones that go unconsumed).
   EXPECT_LE(s.prefetch_hits + s.prefetch_late, s.prefetch_scheduled);
+}
+
+/// Route bit-identity under the table encoding: one fixed W-2 day through
+/// SRP and SAP with default (table) heuristics, every route kept, must
+/// leave exactly the committed state pinned below. The digests were
+/// recorded from the uint16-table build; the half-delta tables decode to
+/// the same distances on every paper goal, so any drift here means the
+/// encoding changed a search decision.
+TEST(HeuristicTableRoutesTest, W2DayFingerprintsArePinned) {
+  const auto scenario =
+      workload::ScaledScenario(workload::PaperScenario("W-2"), 0.002);
+  const layout::Warehouse w = layout::GenerateWarehouse(scenario.layout);
+  workload::TaskGeneratorOptions topts;
+  topts.task_count = scenario.daily_tasks[0];
+  topts.day_length = scenario.day_length;
+  topts.seed = 77;
+  const auto tasks = workload::GenerateTasks(
+      w, workload::ArrivalProfile::DoubleSurge(), topts);
+  ASSERT_GE(tasks.size(), 20u);
+
+  struct Pin {
+    const char* algorithm;
+    std::uint64_t fingerprint;
+  };
+  for (const Pin& pin : {Pin{"SRP", 10048539077682047533ULL},
+                        Pin{"SAP", 1842674626226285163ULL}}) {
+    auto planner = baselines::MakePlanner(pin.algorithm, w.matrix);
+    ASSERT_NE(planner, nullptr);
+    sim::Simulator simulator(w, *planner);
+    const sim::RunMetrics m = simulator.Run(tasks);
+    ASSERT_EQ(m.finished_tasks, m.total_tasks) << pin.algorithm;
+    EXPECT_GT(planner->stats().heuristic_misses, 0) << pin.algorithm;
+    EXPECT_EQ(planner->StateFingerprint(), pin.fingerprint)
+        << pin.algorithm << " makespan " << m.makespan << " routes "
+        << planner->committed_routes().size();
+  }
 }
 
 TEST(HeuristicModeTest, ParseRoundTrips) {

@@ -204,5 +204,36 @@ TEST(ShardedCommitTest, GridCoarseShardMatchesSerialOnContendedBatch) {
   EXPECT_GT(sharded->stats().shard_commits, 0);
 }
 
+/// BatchResult's shard_* fields are read straight from the planner's lock
+/// counters (Planner::ShardLockStats), not from the full stats() view; they
+/// must still equal the stats() difference around every batch, on both the
+/// strip-sharded and the coarse single-shard planners.
+TEST(ShardedCommitTest, BatchShardCountersMatchStatsDelta) {
+  const layout::Warehouse w = layout::GenerateWarehouse(layout::PresetTiny());
+  const auto queries = ContendingBatch();
+  for (const char* tag : {"SRP", "SAP"}) {
+    auto planner = baselines::MakePlanner(tag, w.matrix);
+    ASSERT_TRUE(planner->SupportsShardedCommit()) << tag;
+    BatchPlanOptions options;
+    options.threads = 4;
+    options.sharded_commit = true;
+    for (TimeStep t : {TimeStep{0}, TimeStep{200}}) {
+      const PlannerStats before = planner->stats();
+      const BatchResult result = PlanBatch(*planner, t, queries, options);
+      const PlannerStats& after = planner->stats();
+      EXPECT_GT(result.shard_commits, 0) << tag << " t=" << t;
+      EXPECT_EQ(result.shard_commits,
+                after.shard_commits - before.shard_commits)
+          << tag << " t=" << t;
+      EXPECT_EQ(result.shard_contentions,
+                after.shard_lock_contentions - before.shard_lock_contentions)
+          << tag << " t=" << t;
+      EXPECT_EQ(result.shard_retries,
+                after.shard_commit_retries - before.shard_commit_retries)
+          << tag << " t=" << t;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace carp::core

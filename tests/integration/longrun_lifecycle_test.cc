@@ -17,16 +17,19 @@
 namespace carp::sim {
 namespace {
 
+// One day's tasks, arriving from `start` on. Callers start each day at the
+// previous day's makespan: a retiring run may only be followed by arrivals
+// after every route it released has finished executing.
 std::vector<workload::DeliveryTask> DayTasks(const layout::Warehouse& w,
-                                             int day, TimeStep day_length,
-                                             int count) {
+                                             int day, TimeStep start,
+                                             TimeStep day_length, int count) {
   workload::TaskGeneratorOptions opts;
   opts.task_count = count;
   opts.day_length = day_length;
   opts.seed = 40 + day;
   auto tasks = workload::GenerateTasks(
       w, workload::ArrivalProfile::Uniform(), opts);
-  for (auto& t : tasks) t.arrival += static_cast<TimeStep>(day) * day_length;
+  for (auto& t : tasks) t.arrival += start;
   return tasks;
 }
 
@@ -52,8 +55,10 @@ TEST_P(LongrunLifecycleTest, ThreeDaysBoundedStateCollisionFree) {
 
   std::vector<std::size_t> end_bytes;
   std::int64_t released = 0;
+  TimeStep start = 0;
   for (int day = 0; day < 3; ++day) {
-    RunMetrics m = sim.Run(DayTasks(warehouse, day, day_length, 30));
+    RunMetrics m = sim.Run(DayTasks(warehouse, day, start, day_length, 30));
+    start = m.makespan;
     EXPECT_EQ(m.finished_tasks, m.total_tasks) << "day " << day;
     EXPECT_TRUE(m.validated);
     EXPECT_TRUE(m.collision_free) << GetParam() << " day " << day;
@@ -100,8 +105,10 @@ TEST(LongrunLifecycleBatchedTest, RetirementWithSpeculativeDispatch) {
   options.threads = 2;
   Simulator sim(warehouse, *planner, options);
 
+  TimeStep start = 0;
   for (int day = 0; day < 2; ++day) {
-    RunMetrics m = sim.Run(DayTasks(warehouse, day, day_length, 30));
+    RunMetrics m = sim.Run(DayTasks(warehouse, day, start, day_length, 30));
+    start = m.makespan;
     EXPECT_EQ(m.finished_tasks, m.total_tasks) << "day " << day;
     EXPECT_TRUE(m.collision_free) << "day " << day;
     EXPECT_EQ(m.end_live_routes, 0u) << "day " << day;

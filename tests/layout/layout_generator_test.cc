@@ -107,6 +107,10 @@ struct PresetExpectation {
   std::int32_t robots;
 };
 
+// Names each case by its preset; the default printer dumps the struct's
+// bytes, and the name pointer among them changes per run.
+void PrintTo(const PresetExpectation& e, std::ostream* os) { *os << e.name; }
+
 class PaperPresetTest : public ::testing::TestWithParam<PresetExpectation> {};
 
 TEST_P(PaperPresetTest, MatchesTableTwoWithinTolerance) {

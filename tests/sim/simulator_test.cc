@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "baselines/planner_factory.h"
 #include "layout/layout_generator.h"
 #include "layout/presets.h"
@@ -37,6 +39,35 @@ TEST_F(SimulatorTest, AllTasksFinishWithSrp) {
   EXPECT_GT(m.makespan, 0);
   EXPECT_GT(m.total_tc_seconds, 0.0);
   EXPECT_GT(m.peak_mc_bytes, 0u);
+}
+
+/// A retiring run releases every route of its day, so the next run on the
+/// same simulator must not start before the previous makespan: its queries
+/// would be planned against released routes that are still executing.
+TEST_F(SimulatorTest, RetiringRunRejectsArrivalsBeforePreviousMakespan) {
+  auto planner = baselines::MakePlanner("SRP", warehouse_.matrix);
+  SimulatorOptions options;
+  options.retire_routes = true;
+  Simulator sim(warehouse_, *planner, options);
+  const auto day = MakeTasks(10, 100);
+  const RunMetrics first = sim.Run(day);
+  ASSERT_EQ(first.finished_tasks, 10);
+  ASSERT_GT(first.makespan, day.back().arrival);
+
+  // Shifted so the earliest task lands one step before the makespan.
+  TimeStep earliest = day.front().arrival;
+  for (const auto& task : day) earliest = std::min(earliest, task.arrival);
+  auto overlapping = day;
+  for (auto& task : overlapping) {
+    task.arrival += first.makespan - 1 - earliest;
+  }
+  EXPECT_DEATH(sim.Run(overlapping), "before the previous run's makespan");
+
+  auto next = day;
+  for (auto& task : next) task.arrival += first.makespan;
+  const RunMetrics second = sim.Run(next);
+  EXPECT_EQ(second.finished_tasks, 10);
+  EXPECT_TRUE(second.collision_free);
 }
 
 TEST_F(SimulatorTest, MetricsSamplesAreMonotone) {

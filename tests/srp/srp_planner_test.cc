@@ -157,11 +157,16 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Every option combination must preserve the collision-free invariant.
 struct OptionParam {
+  const char* label;
   bool static_first;
   bool goal_heuristic;
   double weight;
   std::int64_t slack;
 };
+
+// Names each case by its label; the default printer dumps the struct's
+// bytes, padding included, so the listed test names would change per run.
+void PrintTo(const OptionParam& p, std::ostream* os) { *os << p.label; }
 
 class SrpOptionSweepTest : public ::testing::TestWithParam<OptionParam> {};
 
@@ -198,12 +203,13 @@ TEST_P(SrpOptionSweepTest, OptionsPreserveSafety) {
 
 INSTANTIATE_TEST_SUITE_P(
     Options, SrpOptionSweepTest,
-    ::testing::Values(OptionParam{false, true, 1.25, 6},   // defaults
-                      OptionParam{true, true, 1.25, 6},    // static-first
-                      OptionParam{false, false, 1.0, -1},  // pure Dijkstra
-                      OptionParam{false, true, 1.0, -1},   // admissible A*
-                      OptionParam{false, true, 2.0, 3},    // tight + greedy
-                      OptionParam{true, false, 1.0, -1}));
+    ::testing::Values(
+        OptionParam{"Defaults", false, true, 1.25, 6},
+        OptionParam{"StaticFirst", true, true, 1.25, 6},
+        OptionParam{"PureDijkstra", false, false, 1.0, -1},
+        OptionParam{"AdmissibleAStar", false, true, 1.0, -1},
+        OptionParam{"TightGreedy", false, true, 2.0, 3},
+        OptionParam{"StaticFirstDijkstra", true, false, 1.0, -1}));
 
 TEST(SrpStaticFirstTest, UsesStaticChainsWhenUncontested) {
   layout::Warehouse warehouse =
