@@ -10,7 +10,6 @@
 #include "common/table_writer.h"
 #include "core/heuristic_table.h"
 #include "core/kernel_dispatch.h"
-#include "core/search_engine.h"
 #include "core/search_queue.h"
 #include "sim/experiment_runner.h"
 #include "workload/scenario.h"
@@ -41,7 +40,7 @@ struct BenchOptions {
   core::HeuristicMode heuristic = core::HeuristicMode::kTable;
 
   /// Survivor-scan kernel of the SRP segment stores
-  /// (--kernel=scalar|batched|avx2|auto; auto = CPUID, overridable via
+  /// (--kernel=scalar|avx2|auto; auto = CPUID, overridable via
   /// the CARP_FORCE_KERNEL environment variable).
   core::CollisionKernel kernel = core::CollisionKernel::kAuto;
 
@@ -49,11 +48,6 @@ struct BenchOptions {
   /// auto; auto = the bucket dial, overridable via CARP_FORCE_QUEUE).
   /// Routes are bit-identical either way; the flag isolates queue cost.
   core::SearchQueue queue = core::SearchQueue::kAuto;
-
-  /// Search engine of every planner (--engine=astar|sipp|auto; auto =
-  /// CARP_FORCE_ENGINE, then the time-expanded default). The engines
-  /// guarantee equal route costs, not identical routes (DESIGN.md §2k).
-  core::SearchEngine engine = core::SearchEngine::kAuto;
 
   static BenchOptions Parse(int argc, char** argv, double default_scale) {
     BenchOptions o;
@@ -94,7 +88,7 @@ struct BenchOptions {
         core::CollisionKernel k;
         if (!core::ParseCollisionKernel(v, &k)) {
           std::cerr << "unknown --kernel value: " << v
-                    << " (expected scalar|batched|avx2|auto)\n";
+                    << " (expected scalar|avx2|auto)\n";
           std::exit(2);
         }
         o.kernel = k;
@@ -106,14 +100,6 @@ struct BenchOptions {
           std::exit(2);
         }
         o.queue = q;
-      } else if (const char* v = value("--engine=")) {
-        core::SearchEngine e;
-        if (!core::ParseSearchEngine(v, &e)) {
-          std::cerr << "unknown --engine value: " << v
-                    << " (expected astar|sipp|auto)\n";
-          std::exit(2);
-        }
-        o.engine = e;
       } else if (arg == "--no-validate") {
         o.validate = false;
       } else if (arg == "--retire") {
@@ -121,8 +107,8 @@ struct BenchOptions {
       } else if (arg == "--help" || arg == "-h") {
         std::cout << "options: --scale=F --days=N --threads=N "
                      "--algos=A,B,... --heuristic=manhattan|table "
-                     "--kernel=scalar|batched|avx2|auto "
-                     "--queue=heap|bucket|auto --engine=astar|sipp|auto "
+                     "--kernel=scalar|avx2|auto "
+                     "--queue=heap|bucket|auto "
                      "--no-validate --retire\n";
         std::exit(0);
       }
@@ -145,7 +131,6 @@ inline sim::ExperimentConfig MakeConfig(const std::string& scenario,
   config.simulator.heuristic = options.heuristic;
   config.simulator.kernel = options.kernel;
   config.simulator.queue = options.queue;
-  config.simulator.engine = options.engine;
   return config;
 }
 
@@ -215,7 +200,7 @@ inline void PrintRunSummary(const std::vector<sim::RunMetrics>& runs,
                      "end MC(MiB)", "makespan(OG)", "failed", "fallbacks",
                      "speculated", "conflict-rate", "shard-cont%", "released",
                      "live", "h-hit%", "blk-skip%", "kernel", "lane-surv%",
-                     "engine", "intervals", "collision-free"});
+                     "collision-free"});
   for (const auto& r : runs) {
     // The kernel column only means something for planners that batch
     // store scans (SRP); baselines show "-".
@@ -244,8 +229,6 @@ inline void PrintRunSummary(const std::vector<sim::RunMetrics>& runs,
                   lanes ? FormatDouble(
                               r.planner_stats.LaneUtilization() * 100, 1)
                         : "-",
-                  core::ToString(r.planner_stats.search_engine),
-                  std::to_string(r.planner_stats.intervals_built),
                   r.validated ? (r.collision_free ? "yes" : "NO") : "-"});
   }
   table.Print(os);
@@ -332,11 +315,6 @@ inline void WriteRunsJson(const std::string& path, const std::string& bench,
         << r.planner_stats.shard_lock_contentions
         << ", \"shard_commit_retries\": "
         << r.planner_stats.shard_commit_retries
-        << ", \"search_engine\": \""
-        << core::ToString(r.planner_stats.search_engine) << "\""
-        << ", \"intervals_built\": " << r.planner_stats.intervals_built
-        << ", \"interval_expansions\": "
-        << r.planner_stats.interval_expansions
         << ", \"buckets_erased\": " << r.planner_stats.buckets_erased
         << ", \"collision_free\": "
         << (r.validated ? (r.collision_free ? "true" : "false") : "null")

@@ -11,7 +11,6 @@
 #include "core/heuristic_table.h"
 #include "core/planner.h"
 #include "core/reservation_table.h"
-#include "core/sipp_astar.h"
 #include "core/spacetime_astar.h"
 #include "core/warehouse.h"
 
@@ -39,11 +38,6 @@ struct GridPlannerOptions {
   /// resolves once at construction (CARP_FORCE_QUEUE, then the bucket
   /// default). Both modes expand identically — see SpaceTimeAStarOptions.
   core::SearchQueue queue = core::SearchQueue::kAuto;
-
-  /// Search engine (DESIGN.md §2k); kAuto resolves once at construction
-  /// (CARP_FORCE_ENGINE, then the time-expanded default). Unlike the
-  /// queue knob, the engines guarantee equal costs, not identical routes.
-  core::SearchEngine engine = core::SearchEngine::kAuto;
 };
 
 /// Shared machinery of the SAP/RP/TWP/ACP baselines: the warehouse, the
@@ -65,13 +59,12 @@ struct GridPlannerOptions {
 /// log (ids are never reused; log indices shift).
 class GridPlannerBase : public core::Planner {
  public:
-  /// Per-worker query scratch: a private engine pair (engines accumulate
-  /// per-search stats and workspace, so they cannot be shared across
-  /// threads).
+  /// Per-worker query scratch: a private engine (it accumulates per-search
+  /// stats and workspace, so it cannot be shared across threads).
   struct SearchContext final : core::Planner::QueryContext {
     explicit SearchContext(const core::WarehouseMatrix& matrix)
         : engine(matrix) {}
-    core::SearchEngineDriver engine;
+    core::SpaceTimeAStar engine;
     std::size_t peak_search_bytes = 0;
   };
 
@@ -82,7 +75,6 @@ class GridPlannerBase : public core::Planner {
       options_.horizon = 4 * (matrix.height() + matrix.width());
     }
     options_.queue = core::ResolveSearchQueue(options_.queue);
-    options_.engine = core::ResolveSearchEngine(options_.engine);
     if (options_.heuristic == core::HeuristicMode::kTable) {
       core::HeuristicTableCache::Options cache_options;
       cache_options.budget_bytes = options_.heuristic_budget_bytes;
@@ -114,8 +106,6 @@ class GridPlannerBase : public core::Planner {
         ctx.engine.Plan(reservations_, *start, origin, destination, search);
     const auto& s = ctx.engine.last_stats();
     ctx.stats.expanded_nodes += s.expanded;
-    ctx.stats.intervals_built += s.intervals_built;
-    ctx.stats.interval_expansions += s.interval_expansions;
     ctx.peak_search_bytes = std::max(
         ctx.peak_search_bytes, s.peak_open_bytes + s.peak_closed_bytes);
     if (!route.has_value()) {
@@ -258,7 +248,6 @@ class GridPlannerBase : public core::Planner {
     stats_view_.shard_commits = sl.commits;
     stats_view_.shard_lock_contentions = sl.contentions;
     stats_view_.shard_commit_retries = sl.retries;
-    stats_view_.search_engine = options_.engine;  // resolved, never kAuto
     stats_view_.buckets_erased = reservations_.buckets_erased();
     return stats_view_;
   }
@@ -276,8 +265,7 @@ class GridPlannerBase : public core::Planner {
     core::SpaceTimeAStarOptions search;
     search.horizon = options_.horizon;
     search.max_expansions = options_.max_expansions;
-    search.queue = options_.queue;    // resolved at construction, never kAuto
-    search.engine = options_.engine;  // likewise
+    search.queue = options_.queue;  // resolved at construction, never kAuto
     if (hcache_ != nullptr) {
       keepalive = hcache_->Acquire(destination);
       search.heuristic = keepalive.get();
@@ -345,14 +333,10 @@ class GridPlannerBase : public core::Planner {
     NoteExternalFootprint(s.peak_open_bytes + s.peak_closed_bytes);
   }
 
-  /// Folds the engine's last search counters into `stats` (expansions plus
-  /// the interval-engine counters); serial planning paths call this after
-  /// every engine_.Plan invocation.
+  /// Folds the engine's last expansion count into `stats`; serial planning
+  /// paths call this after every engine_.Plan invocation.
   void TallyEngineSearch(core::PlannerStats& stats) const {
-    const auto& s = engine_.last_stats();
-    stats.expanded_nodes += s.expanded;
-    stats.intervals_built += s.intervals_built;
-    stats.interval_expansions += s.interval_expansions;
+    stats.expanded_nodes += engine_.last_stats().expanded;
   }
 
   /// Folds an externally measured search footprint (e.g. CBS) into the
@@ -364,7 +348,7 @@ class GridPlannerBase : public core::Planner {
   const core::WarehouseMatrix& matrix_;
   GridPlannerOptions options_;
   core::ReservationTable reservations_;
-  core::SearchEngineDriver engine_;
+  core::SpaceTimeAStar engine_;
   std::size_t peak_search_bytes_ = 0;
 
   // Shared per-goal distance tables (null in Manhattan mode). Deliberately

@@ -16,7 +16,6 @@ std::unique_ptr<core::Planner> MakePlanner(std::string_view algorithm,
     options.heuristic = build.heuristic;
     options.heuristic_budget_bytes = build.heuristic_budget_bytes;
     options.queue = build.queue;
-    options.engine = build.engine;
     return std::make_unique<SapPlanner>(matrix, options);
   }
   if (algorithm == "RP") {
@@ -24,7 +23,6 @@ std::unique_ptr<core::Planner> MakePlanner(std::string_view algorithm,
     options.grid.heuristic = build.heuristic;
     options.grid.heuristic_budget_bytes = build.heuristic_budget_bytes;
     options.grid.queue = build.queue;
-    options.grid.engine = build.engine;
     return std::make_unique<RpPlanner>(matrix, options);
   }
   if (algorithm == "TWP") {
@@ -32,7 +30,6 @@ std::unique_ptr<core::Planner> MakePlanner(std::string_view algorithm,
     options.grid.heuristic = build.heuristic;
     options.grid.heuristic_budget_bytes = build.heuristic_budget_bytes;
     options.grid.queue = build.queue;
-    options.grid.engine = build.engine;
     return std::make_unique<TwpPlanner>(matrix, options);
   }
   if (algorithm == "ACP") {
@@ -40,7 +37,6 @@ std::unique_ptr<core::Planner> MakePlanner(std::string_view algorithm,
     options.grid.heuristic = build.heuristic;
     options.grid.heuristic_budget_bytes = build.heuristic_budget_bytes;
     options.grid.queue = build.queue;
-    options.grid.engine = build.engine;
     if (build.acp_cache_budget_bytes != 0) {
       options.cache_budget_bytes = build.acp_cache_budget_bytes;
     }
@@ -52,7 +48,6 @@ std::unique_ptr<core::Planner> MakePlanner(std::string_view algorithm,
     options.heuristic_budget_bytes = build.heuristic_budget_bytes;
     options.kernel = build.kernel;
     options.queue = build.queue;
-    options.engine = build.engine;
     return std::make_unique<srp::SrpPlanner>(matrix, options);
   }
   if (algorithm == "SRP-noindex") {
@@ -62,7 +57,6 @@ std::unique_ptr<core::Planner> MakePlanner(std::string_view algorithm,
     options.heuristic_budget_bytes = build.heuristic_budget_bytes;
     options.kernel = build.kernel;
     options.queue = build.queue;
-    options.engine = build.engine;
     return std::make_unique<srp::SrpPlanner>(matrix, options);
   }
   return nullptr;

@@ -8,7 +8,6 @@
 
 #include "core/heuristic_table.h"
 #include "core/planner.h"
-#include "core/search_engine.h"
 #include "core/search_queue.h"
 #include "core/warehouse.h"
 
@@ -30,12 +29,6 @@ struct PlannerBuildOptions {
   /// Open-list implementation of every search core (kAuto = CARP_FORCE_QUEUE,
   /// then the bucket default). Heap and bucket produce identical routes.
   core::SearchQueue queue = core::SearchQueue::kAuto;
-
-  /// Search engine of the grid baselines and SRP's intra-strip wait caps
-  /// (kAuto = CARP_FORCE_ENGINE, then the time-expanded default). The
-  /// engines guarantee equal route costs, not identical routes
-  /// (DESIGN.md §2k).
-  core::SearchEngine engine = core::SearchEngine::kAuto;
 
   /// Byte budget of ACP's OD path cache (LRU-evicted past the budget).
   /// Ignored by every other tag. 0 keeps the AcpPlannerOptions default.

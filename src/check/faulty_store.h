@@ -56,18 +56,6 @@ enum class StoreFault {
   /// the table-vs-Manhattan cost-mismatch audit of the planner
   /// differential catches the corruption within the seed budget.
   kCorruptHeuristicEntry,
-  /// Every free interval the safe-interval extractor derives has its upper
-  /// bound extended one step into the occupied slot that ends it — the
-  /// shape of "inclusive-vs-exclusive bound mix-up in interval extraction"
-  /// (DESIGN.md §2k): the interval engine believes a cell is free at the
-  /// exact timestep a reservation begins, so it books routes that are
-  /// cheaper than the time-expanded oracle's *and* collide. Like
-  /// kCorruptHeuristicEntry this lives above any single store: it is
-  /// injected via core::SafeIntervalMap::SetOverwideFaultForTest and
-  /// exercised by RunEngineFaultCalibration, which proves the engine
-  /// differential's cost-equality + collision audits catch it within the
-  /// seed budget.
-  kOverwideInterval,
 };
 
 /// A correct store with one injected bug, for proving the differential
@@ -77,12 +65,12 @@ enum class StoreFault {
 class FaultySegmentStore final : public srp::SegmentStore {
  public:
   // The tail fault is only observable by a lane kernel, so that variant
-  // pins the batched one — available on every ISA, unlike AVX2.
+  // pins AVX2 (hosts without it have no lane path to corrupt).
   explicit FaultySegmentStore(StoreFault fault)
       : fault_(fault),
         inner_(/*summary_pruning=*/true,
                fault == StoreFault::kCorruptSimdTail
-                   ? srp::CollisionKernel::kBatched
+                   ? srp::CollisionKernel::kAvx2
                    : srp::CollisionKernel::kAuto) {
     if (fault_ == StoreFault::kCorruptSimdTail) {
       // A sentinel tail only exists once the store spans more than one

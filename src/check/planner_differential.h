@@ -40,29 +40,6 @@ struct HeuristicFaultResult {
   std::string detail;      // human-readable account of the detection/failure
 };
 
-/// Result of the kOverwideInterval calibration (see
-/// RunEngineFaultCalibration).
-struct EngineFaultResult {
-  bool detected = false;   // the engine differential flagged the fault
-  int seeds_tried = 0;     // scenarios attempted before detection (or budget)
-  std::uint64_t detected_seed = 0;  // the seed that tripped the audit
-  std::string detail;      // human-readable account of the detection/failure
-};
-
-/// Proves the detection power of the engine differential's cost-equality
-/// and collision audits against StoreFault::kOverwideInterval: for each
-/// seed a robot dwells on the query's destination over exactly the window
-/// [d, d + 40], where d is the query's unobstructed optimal arrival — so
-/// the destination's first free interval ends one step before the dwell
-/// and that boundary is load-bearing. The clean interval engine must agree
-/// with the time-expanded oracle (the control: both wait out the dwell);
-/// with the fault injected (SafeIntervalMap::SetOverwideFaultForTest) the
-/// widened interval admits arrival at `d` itself, which is both cheaper
-/// than the oracle's answer and a collision — either audit firing counts
-/// as detection. Returns detected=false only if `max_seeds` scenarios all
-/// fail to produce a mismatch.
-EngineFaultResult RunEngineFaultCalibration(int max_seeds);
-
 /// Proves the detection power of the planner differential's heuristic
 /// cost-mismatch audit (phase 4) against StoreFault::kCorruptHeuristicEntry:
 /// for each seed, a goal table is corrupted with *inadmissible, inverted*
@@ -101,13 +78,6 @@ HeuristicFaultResult RunHeuristicFaultCalibration(int max_seeds);
 ///    Manhattan-guided search returns over identical committed state
 ///    (routes may differ under ties; costs may not), and an SRP day in
 ///    manhattan mode must stay collision-free;
-///  * engine equivalence (DESIGN.md §2k) — every backend rebuilt with the
-///    time-expanded and with the safe-interval search engine must answer
-///    each query of a shared stream with routes of exactly equal cost over
-///    identical committed state (routes may differ — the interval engine
-///    places waits wherever the collapsed expansion lands them), and every
-///    interval-engine answer must be collision-free against the state it
-///    was planned over;
 ///  * open-list equivalence — every backend rebuilt with the binary-heap
 ///    and with the bucket-dial open list (SearchQueue) must commit
 ///    byte-identical route sets, with identical expansion counts, for the

@@ -24,8 +24,6 @@ const char* ToString(CollisionKernel kernel) {
   switch (kernel) {
     case CollisionKernel::kScalar:
       return "scalar";
-    case CollisionKernel::kBatched:
-      return "batched";
     case CollisionKernel::kAvx2:
       return "avx2";
     case CollisionKernel::kAuto:
@@ -37,8 +35,6 @@ const char* ToString(CollisionKernel kernel) {
 bool ParseCollisionKernel(const std::string& text, CollisionKernel* out) {
   if (text == "scalar") {
     *out = CollisionKernel::kScalar;
-  } else if (text == "batched") {
-    *out = CollisionKernel::kBatched;
   } else if (text == "avx2") {
     *out = CollisionKernel::kAvx2;
   } else if (text == "auto") {

@@ -6,24 +6,22 @@
 namespace carp::core {
 
 /// Which implementation of the per-block survivor scan the segment stores
-/// run (DESIGN.md §2g). The three concrete kernels answer identically —
-/// same earliest-collision times, same survivor masks, same counters — so
-/// the choice is purely a throughput knob:
-///   * kScalar:  the portable slot-at-a-time loop (the oracle);
-///   * kBatched: an autovector-friendly batched form that evaluates a whole
-///     64-slot block's prefilters into bitmasks with straight-line code;
-///   * kAvx2:    hand-written AVX2 intrinsics, 8 lanes (4 for the 64-bit
-///     line keys) at a time.
+/// run (DESIGN.md §2g). The two concrete kernels answer identically —
+/// same earliest-collision times, same counters — so the choice is purely
+/// a throughput knob:
+///   * kScalar: the portable slot-at-a-time loop (the oracle);
+///   * kAvx2:   hand-written AVX2 intrinsics, 8 lanes (4 for the 64-bit
+///     line keys) at a time, evaluating a whole 64-slot block's prefilters
+///     into bitmasks.
 /// kAuto resolves at store construction via CPUID: AVX2 when the host has
 /// it, the scalar loop otherwise.
 enum class CollisionKernel : int {
   kScalar = 0,
-  kBatched = 1,
-  kAvx2 = 2,
-  kAuto = 3,
+  kAvx2 = 1,
+  kAuto = 2,
 };
 
-/// Lower-case flag spelling ("scalar", "batched", "avx2", "auto").
+/// Lower-case flag spelling ("scalar", "avx2", "auto").
 const char* ToString(CollisionKernel kernel);
 
 /// Parses the flag spelling; false (out untouched) on anything else.

@@ -60,9 +60,9 @@ struct PlannerStats {
   std::int64_t blocks_scanned = 0;
   std::int64_t blocks_skipped = 0;
   std::int64_t candidates_pruned_by_summary = 0;
-  // SRP lane kernel (DESIGN.md §2g): slots evaluated by the batched
-  // survivor kernels and the subset that survived every lane prefilter
-  // (zero under the scalar kernel, which never batches).
+  // SRP lane kernel (DESIGN.md §2g): slots evaluated by the AVX2 survivor
+  // kernels and the subset that survived every lane prefilter (zero under
+  // the scalar kernel, which never runs lanes).
   std::int64_t kernel_lanes_processed = 0;
   std::int64_t kernel_lanes_survived = 0;
   // Sharded commit path (DESIGN.md §2h): routes committed concurrently
@@ -75,18 +75,13 @@ struct PlannerStats {
   /// Survivor-scan kernel the segment stores resolved to — a label, not a
   /// counter (untouched by Merge; the owning planner overlays it).
   CollisionKernel collision_kernel = CollisionKernel::kScalar;
-  /// Search engine the planner resolved to (DESIGN.md §2k) — a label like
-  /// collision_kernel (untouched by Merge; the owning planner overlays it).
+  /// Search engine that answered the queries — a constant label.
   SearchEngine search_engine = SearchEngine::kAstar;
-  // Safe-interval engine (DESIGN.md §2k): free intervals derived during
-  // interval extraction and (cell, interval) node expansions. Zero under
-  // the time-expanded engine, whose expansions count (cell, t) nodes.
+  /// Always 0; read only by perfbench/day_bench.cc.
   std::int64_t intervals_built = 0;
-  std::int64_t interval_expansions = 0;
   /// Time buckets the collision state physically erased (emptied by
-  /// release or dropped by prune) — buckets the safe-interval sweep never
-  /// has to iterate. Overlaid by the owning planner from its live
-  /// structures (untouched by Merge).
+  /// release or dropped by prune). Overlaid by the owning planner from its
+  /// live structures (untouched by Merge).
   std::int64_t buckets_erased = 0;
 
   /// Fraction of speculative routes invalidated by an earlier commit —
@@ -108,8 +103,6 @@ struct PlannerStats {
     cache_hits += other.cache_hits;
     static_path_hits += other.static_path_hits;
     expanded_nodes += other.expanded_nodes;
-    intervals_built += other.intervals_built;
-    interval_expansions += other.interval_expansions;
     speculative_routes += other.speculative_routes;
     speculative_invalidated += other.speculative_invalidated;
     routes_released += other.routes_released;

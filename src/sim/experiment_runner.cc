@@ -33,7 +33,6 @@ std::vector<RunMetrics> RunExperiment(const ExperimentConfig& config) {
       build.heuristic = config.simulator.heuristic;
       build.kernel = config.simulator.kernel;
       build.queue = config.simulator.queue;
-      build.engine = config.simulator.engine;
       auto planner =
           baselines::MakePlanner(algorithm, warehouse.matrix, build);
       CARP_CHECK(planner != nullptr) << "unknown algorithm " << algorithm;

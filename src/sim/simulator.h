@@ -6,7 +6,6 @@
 
 #include "core/heuristic_table.h"
 #include "core/planner.h"
-#include "core/search_engine.h"
 #include "core/search_queue.h"
 #include "layout/layout_generator.h"
 #include "sim/assignment.h"
@@ -74,12 +73,6 @@ struct SimulatorOptions {
   /// through baselines::PlannerBuildOptions like `kernel` does; heap and
   /// bucket produce identical routes, so this only moves wall-clock.
   core::SearchQueue queue = core::SearchQueue::kAuto;
-
-  /// Search engine requested for every planner (kAuto = CARP_FORCE_ENGINE,
-  /// then the time-expanded default). Reaches the planner through
-  /// baselines::PlannerBuildOptions like `queue` does. The engines
-  /// guarantee equal route costs, not identical routes (DESIGN.md §2k).
-  core::SearchEngine engine = core::SearchEngine::kAuto;
 
   /// Optional structured event sink (not owned); nullptr disables tracing.
   EventTrace* trace = nullptr;

@@ -18,11 +18,9 @@ inline constexpr std::size_t kKernelBlockSlots = 64;
 /// the scalar loop wins outright. Gating on the in-block span is
 /// parity-safe because both paths produce identical answers and identical
 /// examined/pruned tallies; only lanes_processed/lanes_survived (lane-only
-/// diagnostics) change. Tuned on the W-2 churn workload: the batched
-/// kernel's straight-line 64-slot pass costs roughly a full scalar block,
-/// so it needs a wide span to break even; an AVX2 call is a dozen vector
-/// ops and already beats the scalar loop on short partial-edge spans.
-inline constexpr std::size_t kMinLaneSpanBatched = 16;
+/// diagnostics) change. Tuned on the W-2 churn workload: an AVX2 call is a
+/// dozen vector ops and already beats the scalar loop on short
+/// partial-edge spans.
 inline constexpr std::size_t kMinLaneSpanAvx2 = 4;
 
 /// Narrows an int64 scan threshold to int32 for the lane kernels' 32-bit
@@ -75,19 +73,11 @@ struct SurvivorMasks {
   std::uint64_t survivors = 0;
 };
 
-/// The batched variants are plain C++ written mask-parallel (straight-line
-/// per-slot bit math, no early exits) so the autovectorizer can profitably
-/// vectorize them on any target; the Avx2 variants are hand-written
-/// intrinsics compiled with a per-function target attribute, so no file in
-/// the build needs -mavx2 and non-AVX2 hosts simply never call them (they
-/// degrade to the batched form where the ISA is unavailable at compile
-/// time). All variants return bit-identical masks.
-SurvivorMasks SegmentSurvivorsBatched(const std::int32_t* t0,
-                                      const std::int32_t* p0,
-                                      const std::int32_t* t1,
-                                      const std::int32_t* p1,
-                                      const std::uint8_t* dead,
-                                      const SegmentProbe& probe);
+/// The kernels are hand-written AVX2 intrinsics compiled with a
+/// per-function target attribute, so no file in the build needs -mavx2 and
+/// non-AVX2 hosts simply never call them (the stores gate every call on a
+/// resolved kAvx2). Builds that cannot compile the intrinsics abort if one
+/// is called. Every mask is bit-identical to the scalar loop's tallies.
 SurvivorMasks SegmentSurvivorsAvx2(const std::int32_t* t0,
                                    const std::int32_t* p0,
                                    const std::int32_t* t1,
@@ -103,12 +93,6 @@ struct OccupancyMasks {
   std::uint64_t hits = 0;
 };
 
-OccupancyMasks SegmentOccupancyBatched(const std::int32_t* t0,
-                                       const std::int32_t* p0,
-                                       const std::int32_t* t1,
-                                       const std::int32_t* p1,
-                                       const std::uint8_t* dead,
-                                       std::int32_t t, std::int32_t pos);
 OccupancyMasks SegmentOccupancyAvx2(const std::int32_t* t0,
                                     const std::int32_t* p0,
                                     const std::int32_t* t1,
@@ -128,12 +112,6 @@ struct LineForwardMasks {
   std::uint64_t stops = 0;
 };
 
-LineForwardMasks LineForwardBatched(const std::int64_t* key,
-                                    const std::int32_t* t0,
-                                    const std::int32_t* t1,
-                                    const std::uint8_t* dead,
-                                    std::int64_t probe_key, std::int32_t ct0,
-                                    std::int32_t ct1);
 LineForwardMasks LineForwardAvx2(const std::int64_t* key,
                                  const std::int32_t* t0,
                                  const std::int32_t* t1,
@@ -152,12 +130,6 @@ struct LineCoverMasks {
   std::uint64_t below_reach = 0;
 };
 
-LineCoverMasks LineCoverBatched(const std::int64_t* key,
-                                const std::int32_t* t0,
-                                const std::int32_t* t1,
-                                const std::uint8_t* dead,
-                                std::int64_t probe_key, std::int32_t t,
-                                std::int32_t cutoff);
 LineCoverMasks LineCoverAvx2(const std::int64_t* key, const std::int32_t* t0,
                              const std::int32_t* t1, const std::uint8_t* dead,
                              std::int64_t probe_key, std::int32_t t,

@@ -1,7 +1,6 @@
 #include "srp/intra_strip_planner.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <unordered_set>
 
 namespace carp::srp {
@@ -15,13 +14,9 @@ class BacktrackingSearch {
  public:
   BacktrackingSearch(const SegmentStore& store,
                      const IntraPlanOptions& options, std::int64_t to_pos)
-      : store_(store),
-        options_(options),
-        to_(to_pos),
-        sipp_(options.engine == core::SearchEngine::kSipp) {}
+      : store_(store), options_(options), to_(to_pos) {}
 
   bool Run(TimeStep t, std::int64_t pos, std::vector<Segment>& segments) {
-    derive_from_ = t;
     return Search(t, pos, 0, segments);
   }
 
@@ -31,8 +26,6 @@ class BacktrackingSearch {
   }
 
   std::int64_t probes() const { return probes_; }
-  std::int64_t intervals_built() const { return intervals_built_; }
-  std::int64_t interval_expansions() const { return interval_expansions_; }
 
  private:
   TimeStep Query(const Segment& candidate) {
@@ -41,41 +34,6 @@ class BacktrackingSearch {
   }
 
   bool BudgetExceeded() const { return probes_ > options_.max_probes; }
-
-  // Earliest conflicting instant of a wait at (stop_t, stop_pos) within
-  // [stop_t, stop_t + max_wait], or kInfiniteTime — the wait-cap question
-  // of Alg. 2 lines 13-21. The time-expanded engine asks the store; the
-  // SIPP engine answers from the position's cached busy runs. Both bill
-  // exactly one probe, so budget-driven control flow (and therefore the
-  // chosen route) is engine-independent.
-  TimeStep WaitConflict(TimeStep stop_t, std::int64_t stop_pos) {
-    if (!sipp_) {
-      const Segment full_wait({stop_t, stop_pos},
-                              {stop_t + options_.max_wait, stop_pos});
-      return Query(full_wait);
-    }
-    ++probes_;
-    ++interval_expansions_;
-    const std::vector<TimeRun>& busy = BusyOf(stop_pos);
-    const auto it = std::lower_bound(
-        busy.begin(), busy.end(), stop_t,
-        [](const TimeRun& r, TimeStep t) { return r.hi < t; });
-    if (it == busy.end()) return kInfiniteTime;
-    const TimeStep conflict = std::max(it->lo, stop_t);
-    return conflict <= stop_t + options_.max_wait ? conflict : kInfiniteTime;
-  }
-
-  // Busy runs of one strip position over [derive_from_, inf), derived once
-  // per position per call (the store is immutable during one query).
-  const std::vector<TimeRun>& BusyOf(std::int64_t pos) {
-    auto [it, fresh] = busy_.try_emplace(pos);
-    if (fresh) {
-      store_.CollectBusyRuns(pos, derive_from_, kInfiniteTime, it->second);
-      // n busy runs bound n + 1 free intervals (the last one open-ended).
-      intervals_built_ += static_cast<std::int64_t>(it->second.size()) + 1;
-    }
-    return it->second;
-  }
 
   // Tries to reach to_ from (t, pos). Appends the chosen segments on
   // success; leaves `segments` unchanged on failure.
@@ -128,7 +86,8 @@ class BacktrackingSearch {
       const TimeStep stop_t = t + steps;
       // Longest collision-free wait at the stop position; waits beyond the
       // first conflicting instant can never succeed.
-      const TimeStep wait_conflict = WaitConflict(stop_t, stop_pos);
+      const TimeStep wait_conflict = Query(
+          Segment({stop_t, stop_pos}, {stop_t + options_.max_wait, stop_pos}));
       const TimeStep max_wait =
           wait_conflict == kInfiniteTime
               ? options_.max_wait
@@ -150,12 +109,7 @@ class BacktrackingSearch {
   const SegmentStore& store_;
   const IntraPlanOptions& options_;
   const std::int64_t to_;
-  const bool sipp_;
-  TimeStep derive_from_ = 0;
   std::int64_t probes_ = 0;
-  std::int64_t intervals_built_ = 0;
-  std::int64_t interval_expansions_ = 0;
-  std::unordered_map<std::int64_t, std::vector<TimeRun>> busy_;
   std::unordered_set<std::uint64_t> failed_;
 };
 
@@ -188,10 +142,7 @@ std::optional<IntraPlan> PlanWithinStrip(const SegmentStore& store,
   }
 
   BacktrackingSearch search(store, options, to_pos);
-  const bool found = search.Run(start, from_pos, plan.segments);
-  plan.intervals_built = search.intervals_built();
-  plan.interval_expansions = search.interval_expansions();
-  if (!found) return std::nullopt;
+  if (!search.Run(start, from_pos, plan.segments)) return std::nullopt;
   plan.arrival = plan.segments.back().finish().t;
   plan.probes = search.probes() + 1;
   return plan;

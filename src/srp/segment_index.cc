@@ -179,11 +179,8 @@ TimeStep LineIndex::EarliestSameSlope(std::int64_t key, TimeStep ct0,
   std::int32_t ct0_32 = 0;
   std::int32_t ct1_32 = 0;
   const bool lanes = summary_pruning_ &&
-                     kernel_ != CollisionKernel::kScalar && key_.FullyPadded() &&
+                     kernel_ == CollisionKernel::kAvx2 && key_.FullyPadded() &&
                      NarrowToI32(ct0, &ct0_32) && NarrowToI32(ct1, &ct1_32);
-  const std::size_t min_span = kernel_ == CollisionKernel::kAvx2
-                                   ? kMinLaneSpanAvx2
-                                   : kMinLaneSpanBatched;
   while (i < n) {
     const std::size_t b = i / kBlockSize;
     const std::size_t b_end = std::min((b + 1) * kBlockSize, n);
@@ -205,16 +202,12 @@ TimeStep LineIndex::EarliestSameSlope(std::int64_t key, TimeStep ct0,
     // buckets are typically tiny). A scan enters a block at its boundary
     // only after walking a whole previous block without a decisive slot,
     // i.e. exactly when the bucket is long enough for lanes to pay off.
-    if (lanes && i == b * kBlockSize && b_end - i >= min_span) {
+    if (lanes && i == b * kBlockSize && b_end - i >= kMinLaneSpanAvx2) {
       const std::size_t base = b * kBlockSize;
       const LineForwardMasks m =
-          kernel_ == CollisionKernel::kAvx2
-              ? LineForwardAvx2(key_.data() + base, t0_.data() + base,
-                                t1_.data() + base, DeadPtr(base), key,
-                                ct0_32, ct1_32)
-              : LineForwardBatched(key_.data() + base, t0_.data() + base,
-                                   t1_.data() + base, DeadPtr(base), key,
-                                   ct0_32, ct1_32);
+          LineForwardAvx2(key_.data() + base, t0_.data() + base,
+                          t1_.data() + base, DeadPtr(base), key, ct0_32,
+                          ct1_32);
       sc.lanes_processed += static_cast<std::int64_t>(kBlockSize);
       const std::uint64_t from_i = ~std::uint64_t{0} << (i - base);
       const std::uint64_t decisive = (m.hits | m.stops) & from_i;
@@ -266,7 +259,7 @@ bool LineIndex::Covers(std::int64_t key, TimeStep t,
   std::int32_t t32 = 0;
   std::int32_t cut32 = 0;
   const bool lanes = summary_pruning_ &&
-                     kernel_ != CollisionKernel::kScalar && key_.FullyPadded() &&
+                     kernel_ == CollisionKernel::kAvx2 && key_.FullyPadded() &&
                      NarrowToI32(t, &t32) && NarrowToI32(cutoff, &cut32);
   std::size_t counted_block = slot_count() + 1;
   while (i > 0) {
@@ -293,13 +286,8 @@ bool LineIndex::Covers(std::int64_t key, TimeStep t,
     if (lanes && i % kBlockSize == 0) {
       const std::size_t base = b * kBlockSize;
       const LineCoverMasks m =
-          kernel_ == CollisionKernel::kAvx2
-              ? LineCoverAvx2(key_.data() + base, t0_.data() + base,
-                              t1_.data() + base, DeadPtr(base), key, t32,
-                              cut32)
-              : LineCoverBatched(key_.data() + base, t0_.data() + base,
-                                 t1_.data() + base, DeadPtr(base), key, t32,
-                                 cut32);
+          LineCoverAvx2(key_.data() + base, t0_.data() + base,
+                        t1_.data() + base, DeadPtr(base), key, t32, cut32);
       sc.lanes_processed += static_cast<std::int64_t>(kBlockSize);
       const std::size_t in_block = i - base;  // 1..kBlockSize
       const std::uint64_t below_i =
@@ -500,17 +488,6 @@ bool IndexedSegmentStore::OccupiedAt(std::int64_t pos, TimeStep t) const {
   }
   NoteQuery(sc);
   return false;
-}
-
-void IndexedSegmentStore::CollectBusyRuns(std::int64_t pos, TimeStep from,
-                                          TimeStep to,
-                                          std::vector<TimeRun>& out) const {
-  ScanCounters sc;
-  for (const SlopeClass& cls : classes_) {
-    cls.all.CollectBusyAt(pos, from, to, out, sc);
-  }
-  NoteQuery(sc);
-  MergeTimeRuns(out);
 }
 
 void IndexedSegmentStore::ForEachLive(

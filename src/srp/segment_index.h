@@ -103,9 +103,9 @@ class LineIndex {
 
   /// Fully-dead equal-key runs erased so far by PruneBefore/compaction
   /// passes. Before erasure such a bucket still occupies slots that bucket
-  /// scans and busy-run extraction must walk past for nothing — equal-key
-  /// runs fully tombstoned below the compaction threshold linger until the
-  /// next prune (ISSUE: SIPP satellite pins this with a unit test).
+  /// scans must walk past for nothing — equal-key runs fully tombstoned
+  /// below the compaction threshold linger until the next prune
+  /// (segment_index_removal_test pins this).
   std::int64_t buckets_erased() const { return buckets_erased_; }
 
   void set_summary_pruning(bool enabled) { summary_pruning_ = enabled; }
@@ -230,10 +230,6 @@ class IndexedSegmentStore final : public SegmentStore {
   /// covers t. Three line-bucket binary searches replace the linear
   /// cross-slope scans of the generic query.
   bool OccupiedAt(std::int64_t pos, TimeStep t) const override;
-
-  /// One block-skipped scan per slope class's start-time sequence, merged.
-  void CollectBusyRuns(std::int64_t pos, TimeStep from, TimeStep to,
-                       std::vector<TimeRun>& out) const override;
 
   std::size_t size() const override;
   std::size_t RetainedBytes() const override;

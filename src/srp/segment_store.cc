@@ -229,11 +229,8 @@ TimeStep SortedSegments::EarliestCollisionInRange(
   // sentinels (DESIGN.md §2g).
   SegmentProbe probe;
   const bool lanes = summary_pruning_ &&
-                     kernel_ != CollisionKernel::kScalar && t0_.FullyPadded() &&
+                     kernel_ == CollisionKernel::kAvx2 && t0_.FullyPadded() &&
                      BuildSegmentProbe(ct0, cp0, ct1, cp1, klo, khi, &probe);
-  const std::size_t min_span = kernel_ == CollisionKernel::kAvx2
-                                   ? kMinLaneSpanAvx2
-                                   : kMinLaneSpanBatched;
 
   TimeStep earliest = kInfiniteTime;
   const std::size_t b_end = (end + kBlockSize - 1) / kBlockSize;
@@ -254,16 +251,11 @@ TimeStep SortedSegments::EarliestCollisionInRange(
       }
     }
     ++sc.blocks_scanned;
-    if (lanes && s_end - s_begin >= min_span) {
+    if (lanes && s_end - s_begin >= kMinLaneSpanAvx2) {
       const std::size_t base = b * kBlockSize;
-      const SurvivorMasks m =
-          kernel_ == CollisionKernel::kAvx2
-              ? SegmentSurvivorsAvx2(t0_.data() + base, p0_.data() + base,
-                                     t1_.data() + base, p1_.data() + base,
-                                     DeadPtr(base), probe)
-              : SegmentSurvivorsBatched(t0_.data() + base, p0_.data() + base,
-                                        t1_.data() + base, p1_.data() + base,
-                                        DeadPtr(base), probe);
+      const SurvivorMasks m = SegmentSurvivorsAvx2(
+          t0_.data() + base, p0_.data() + base, t1_.data() + base,
+          p1_.data() + base, DeadPtr(base), probe);
       sc.lanes_processed += static_cast<std::int64_t>(kBlockSize);
       const int survivors = std::popcount(m.survivors);
       sc.pruned_by_summary += std::popcount(m.time) - survivors;
@@ -304,48 +296,6 @@ TimeStep SortedSegments::EarliestCollisionInRange(
   return earliest;
 }
 
-void SortedSegments::CollectBusyAt(std::int64_t pos, TimeStep from,
-                                   TimeStep to, std::vector<TimeRun>& out,
-                                   ScanCounters& sc) const {
-  // Same two-sided window as the point probe, widened to [from, to]: only
-  // segments starting within reach of `from` and at or before `to` can
-  // cover any probed instant.
-  const std::size_t end = UpperBoundByStart(to);
-  const std::size_t lo = LowerBoundByReach(from);
-  for (std::size_t b = lo / kBlockSize;
-       b < (end + kBlockSize - 1) / kBlockSize; ++b) {
-    const std::size_t s_begin = std::max(lo, b * kBlockSize);
-    const std::size_t s_end = std::min(end, (b + 1) * kBlockSize);
-    if (summary_pruning_) {
-      const BlockSummary& bs = blocks_[b];
-      if (bs.live == 0 || bs.max_t1 < from || bs.min_t0 > to ||
-          bs.max_pos < pos || bs.min_pos > pos) {
-        ++sc.blocks_skipped;
-        sc.pruned_by_summary += bs.live;
-        continue;
-      }
-    }
-    ++sc.blocks_scanned;
-    for (std::size_t i = s_begin; i < s_end; ++i) {
-      if (!IsLive(i)) continue;
-      if (t0_[i] > to || t1_[i] < from) continue;
-      ++sc.examined;
-      const std::int64_t s = SlotSlope(p0_[i], p1_[i]);
-      if (s == 0) {
-        if (p0_[i] != pos) continue;
-        out.push_back(TimeRun{std::max<TimeStep>(t0_[i], from),
-                              std::min<TimeStep>(t1_[i], to)});
-      } else {
-        // A slope +-1 segment sits at `pos` at exactly one integer step.
-        const TimeStep cross = t0_[i] + s * (pos - p0_[i]);
-        if (cross < t0_[i] || cross > t1_[i]) continue;
-        if (cross < from || cross > to) continue;
-        out.push_back(TimeRun{cross, cross});
-      }
-    }
-  }
-}
-
 bool SortedSegments::OccupiedAt(std::int64_t pos, TimeStep t,
                                 ScanCounters& sc) const {
   // Only segments whose start lies within the longest stored duration
@@ -360,11 +310,8 @@ bool SortedSegments::OccupiedAt(std::int64_t pos, TimeStep t,
   std::int32_t t32 = 0;
   std::int32_t pos32 = 0;
   const bool lanes = summary_pruning_ &&
-                     kernel_ != CollisionKernel::kScalar && t0_.FullyPadded() &&
+                     kernel_ == CollisionKernel::kAvx2 && t0_.FullyPadded() &&
                      NarrowToI32(t, &t32) && NarrowToI32(pos, &pos32);
-  const std::size_t min_span = kernel_ == CollisionKernel::kAvx2
-                                   ? kMinLaneSpanAvx2
-                                   : kMinLaneSpanBatched;
 
   const std::size_t b_end = (end + kBlockSize - 1) / kBlockSize;
   for (std::size_t b = lo / kBlockSize; b < b_end; ++b) {
@@ -387,16 +334,11 @@ bool SortedSegments::OccupiedAt(std::int64_t pos, TimeStep t,
       }
     }
     ++sc.blocks_scanned;
-    if (lanes && s_end - s_begin >= min_span) {
+    if (lanes && s_end - s_begin >= kMinLaneSpanAvx2) {
       const std::size_t base = b * kBlockSize;
-      const OccupancyMasks m =
-          kernel_ == CollisionKernel::kAvx2
-              ? SegmentOccupancyAvx2(t0_.data() + base, p0_.data() + base,
-                                     t1_.data() + base, p1_.data() + base,
-                                     DeadPtr(base), t32, pos32)
-              : SegmentOccupancyBatched(t0_.data() + base, p0_.data() + base,
-                                        t1_.data() + base, p1_.data() + base,
-                                        DeadPtr(base), t32, pos32);
+      const OccupancyMasks m = SegmentOccupancyAvx2(
+          t0_.data() + base, p0_.data() + base, t1_.data() + base,
+          p1_.data() + base, DeadPtr(base), t32, pos32);
       sc.lanes_processed += static_cast<std::int64_t>(kBlockSize);
       if (m.hits != 0) {
         // The scalar walk examines every covering slot up to and including
@@ -543,50 +485,6 @@ bool SortedSegments::CorruptOneSummaryForTest() {
 }
 
 }  // namespace internal_store
-
-void MergeTimeRuns(std::vector<TimeRun>& runs) {
-  std::sort(runs.begin(), runs.end(), [](const TimeRun& a, const TimeRun& b) {
-    return a.lo != b.lo ? a.lo < b.lo : a.hi < b.hi;
-  });
-  std::size_t w = 0;
-  for (const TimeRun& r : runs) {
-    if (w > 0 && r.lo <= runs[w - 1].hi + 1) {
-      runs[w - 1].hi = std::max(runs[w - 1].hi, r.hi);
-    } else {
-      runs[w++] = r;
-    }
-  }
-  runs.resize(w);
-}
-
-void SegmentStore::CollectBusyRuns(std::int64_t pos, TimeStep from,
-                                   TimeStep to,
-                                   std::vector<TimeRun>& out) const {
-  // Generic fallback for wrapper stores: find the earliest conflict of a
-  // wait probe, then extend the run with point probes. O(busy time) — the
-  // concrete stores override with a single scan.
-  TimeStep t = from;
-  while (t <= to) {
-    geometry::Segment probe({t, pos}, {to, pos});
-    const TimeStep c = EarliestCollisionTime(probe);
-    if (c == kInfiniteTime) break;
-    TimeStep e = c;
-    while (e < to && OccupiedAt(pos, e + 1)) ++e;
-    out.push_back(TimeRun{c, e});
-    if (e >= to - 1) break;  // e + 1 is free and e + 2 would overflow `to`
-    t = e + 2;               // e + 1 is known free
-  }
-  MergeTimeRuns(out);
-}
-
-void NaiveSegmentStore::CollectBusyRuns(std::int64_t pos, TimeStep from,
-                                        TimeStep to,
-                                        std::vector<TimeRun>& out) const {
-  internal_store::ScanCounters sc;
-  segments_.CollectBusyAt(pos, from, to, out, sc);
-  NoteQuery(sc);
-  MergeTimeRuns(out);
-}
 
 void NaiveSegmentStore::Insert(const geometry::Segment& segment) {
   segments_.Insert(internal_store::PackedSegment::Pack(segment));

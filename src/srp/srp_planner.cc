@@ -110,12 +110,6 @@ SrpPlanner::SrpPlanner(const core::WarehouseMatrix& matrix,
   // bucket default) and pin the fallback engine to the same choice.
   queue_ = core::ResolveSearchQueue(options_.queue);
   fallback_options_.queue = queue_;
-  // Resolve the wait-cap engine once (CARP_FORCE_ENGINE, then the
-  // time-expanded default) and push it into the intra-strip budgets every
-  // PlanWithinStrip call receives.
-  engine_ = core::ResolveSearchEngine(options_.engine);
-  intra_options_ = options_.intra;
-  intra_options_.engine = engine_;
   if (options_.heuristic == core::HeuristicMode::kTable) {
     // Strip ids double as the table's regions, so each per-goal build also
     // yields the strip-level distance table (RegionMin) the inter-strip
@@ -457,10 +451,8 @@ std::optional<SrpPath> SrpPlanner::StaticFirstPlan(
     const Hop& hop = chain[i];
     auto intra =
         PlanWithinStrip(*StoreOf(hop.strip), t, hop.entry, hop.exit,
-                        intra_options_);
+                        options_.intra);
     if (!intra.has_value()) return std::nullopt;
-    search.intervals_built += intra->intervals_built;
-    search.interval_expansions += intra->interval_expansions;
 
     StripLeg leg;
     leg.strip = hop.strip;
@@ -584,12 +576,8 @@ std::optional<SrpPath> SrpPlanner::InterStripSearch(
       if (timed) intra_watch_.Start();
       auto final_plan = PlanWithinStrip(
           *StoreOf(vd), lu.arrival, lu.entry_pos,
-          strip_u.PositionOf(destination), intra_options_);
+          strip_u.PositionOf(destination), options_.intra);
       if (timed) intra_watch_.Stop();
-      if (final_plan.has_value()) {
-        search.intervals_built += final_plan->intervals_built;
-        search.interval_expansions += final_plan->interval_expansions;
-      }
       if (!final_plan.has_value()) {
         // The entry we reached the destination strip through cannot reach
         // the destination grid (e.g. head-on traffic inside the strip).
@@ -700,11 +688,9 @@ std::optional<SrpPath> SrpPlanner::InterStripSearch(
 
       if (timed) intra_watch_.Start();
       auto intra = PlanWithinStrip(*StoreOf(u), lu.arrival, lu.entry_pos,
-                                   contact.pos_u, intra_options_);
+                                   contact.pos_u, options_.intra);
       if (timed) intra_watch_.Stop();
       if (!intra.has_value()) continue;
-      search.intervals_built += intra->intervals_built;
-      search.interval_expansions += intra->interval_expansions;
 
       if (timed) intra_watch_.Start();
       auto tau = CrossingTime(u, contact.pos_u, v, contact.pos_v,
@@ -1012,12 +998,6 @@ std::optional<SrpPlanner::Planned> SrpPlanner::PlanQuery(
     Search& search, core::PlannerStats& stats, TimeStep now, GridCoord origin,
     GridCoord destination) const {
   ++stats.queries;
-  search.intervals_built = 0;
-  search.interval_expansions = 0;
-  const auto fold_interval_work = [&] {
-    stats.intervals_built += search.intervals_built;
-    stats.interval_expansions += search.interval_expansions;
-  };
   if (!matrix_.IsTraversable(origin) || !matrix_.IsTraversable(destination)) {
     ++stats.failures;
     return std::nullopt;
@@ -1054,14 +1034,12 @@ std::optional<SrpPlanner::Planned> SrpPlanner::PlanQuery(
     if (timed) conversion_watch_.Start();
     Planned planned{RouteFromPath(graph_, *path)};
     if (timed) conversion_watch_.Stop();
-    fold_interval_work();
     return planned;
   }
 
   ++stats.fallbacks;
   auto route = FallbackPlan(search, stats, table, *start, origin,
                             destination);
-  fold_interval_work();
   if (!route.has_value()) {
     ++stats.failures;
     return std::nullopt;

@@ -9,6 +9,7 @@
 
 #include "check/faulty_store.h"
 #include "check/store_fuzzer.h"
+#include "core/kernel_dispatch.h"
 
 namespace carp::check {
 namespace {
@@ -26,6 +27,9 @@ class InjectedFaultTest : public ::testing::TestWithParam<StoreFault> {};
 
 TEST_P(InjectedFaultTest, CaughtWithinSmokeBudget) {
   const StoreFault fault = GetParam();
+  if (fault == StoreFault::kCorruptSimdTail && !core::CpuSupportsAvx2()) {
+    GTEST_SKIP() << "host lacks AVX2: no lane path to corrupt";
+  }
   auto factories = DefaultStoreFactories();
   factories.push_back(NamedStoreFactory{
       "faulty", [fault] { return std::make_unique<FaultySegmentStore>(fault); }});

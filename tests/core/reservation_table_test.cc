@@ -117,9 +117,9 @@ TEST(ReservationTableTest, RetainedBytesGrowsWithEntries) {
 }
 
 TEST(ReservationTableTest, ReleaseErasesEmptiedBuckets) {
-  // The safe-interval sweep (ForEachReservedInWindow) visits every bucket
-  // in its window, so a bucket emptied by Release must be erased, not left
-  // behind — pinned by the buckets_erased counter.
+  // A bucket emptied by Release must be erased, not left behind: pinned by
+  // the buckets_erased counter and by the audit, which rejects any empty
+  // bucket still held.
   ReservationTable table;
   const Route a(0, {{0, 0}, {0, 1}, {0, 2}});  // t = 0, 1, 2
   const Route b(1, {{5, 5}, {5, 6}});          // t = 1, 2 (shared buckets)
@@ -129,14 +129,11 @@ TEST(ReservationTableTest, ReleaseErasesEmptiedBuckets) {
   // Releasing `a` empties only the t=0 bucket; t=1 and t=2 still hold `b`.
   table.Release(1, a);
   EXPECT_EQ(table.buckets_erased(), 1);
+  EXPECT_EQ(table.CheckInvariants(), "");
   table.Release(2, b);
   EXPECT_EQ(table.buckets_erased(), 3);
-  int swept = 0;
-  table.ForEachReservedInWindow(0, 10,
-                                [&](GridCoord, TimeStep, RouteId) {
-                                  ++swept;
-                                });
-  EXPECT_EQ(swept, 0);
+  EXPECT_EQ(table.EntryCount(), 0u);
+  EXPECT_EQ(table.CheckInvariants(), "");
 }
 
 TEST(ReservationTableTest, PruneBeforeCountsDroppedBuckets) {

@@ -1,14 +1,16 @@
 // The survivor-scan kernels (DESIGN.md §2g) must be interchangeable: the
-// batched and AVX2 lane kernels return bit-identical masks, the stores
-// answer identically under every kernel (including across tombstones and
-// partial padded tails), and runtime dispatch (CPUID, CARP_FORCE_KERNEL,
-// SrpPlannerOptions::kernel) lands on the kernel it promises.
+// AVX2 lane kernels return the masks a slot-by-slot reference computes,
+// the stores answer identically under every kernel (including across
+// tombstones and partial padded tails), and runtime dispatch (CPUID,
+// CARP_FORCE_KERNEL, SrpPlannerOptions::kernel) lands on the kernel it
+// promises.
 #include "srp/collision_kernel.h"
 
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -73,8 +75,8 @@ struct TestBlock {
   }
 };
 
-/// Slot-by-slot re-statement of the documented survivor semantics,
-/// independent of the mask-parallel implementations it checks.
+/// Slot-by-slot re-statements of the documented mask semantics,
+/// independent of the lane implementations they check.
 is::SurvivorMasks ReferenceSurvivors(const TestBlock& b,
                                      const is::SegmentProbe& probe) {
   is::SurvivorMasks m;
@@ -94,9 +96,61 @@ is::SurvivorMasks ReferenceSurvivors(const TestBlock& b,
   return m;
 }
 
+is::OccupancyMasks ReferenceOccupancy(const TestBlock& b, std::int32_t t,
+                                      std::int32_t pos) {
+  is::OccupancyMasks m;
+  for (std::size_t i = 0; i < kSlots; ++i) {
+    if (b.dead[i] != 0) continue;
+    if (b.t0[i] > t || b.t1[i] < t) continue;
+    m.covering |= std::uint64_t{1} << i;
+    const int s = (b.p1[i] > b.p0[i]) - (b.p1[i] < b.p0[i]);
+    const std::int64_t at = std::int64_t{b.p0[i]} +
+                            std::int64_t{s} * (std::int64_t{t} - b.t0[i]);
+    if (at == pos) m.hits |= std::uint64_t{1} << i;
+  }
+  return m;
+}
+
+is::LineForwardMasks ReferenceLineForward(const TestBlock& b,
+                                          std::int64_t probe_key,
+                                          std::int32_t ct0, std::int32_t ct1) {
+  is::LineForwardMasks m;
+  for (std::size_t i = 0; i < kSlots; ++i) {
+    const std::uint64_t bit = std::uint64_t{1} << i;
+    // Stops ignore liveness, exactly as the scalar walk does.
+    if (b.key[i] > probe_key || b.t0[i] > ct1) m.stops |= bit;
+    if (b.dead[i] == 0 && b.key[i] == probe_key && b.t0[i] <= ct1 &&
+        b.t1[i] >= ct0) {
+      m.hits |= bit;
+    }
+  }
+  return m;
+}
+
+is::LineCoverMasks ReferenceLineCover(const TestBlock& b,
+                                      std::int64_t probe_key, std::int32_t t,
+                                      std::int32_t cutoff) {
+  is::LineCoverMasks m;
+  for (std::size_t i = 0; i < kSlots; ++i) {
+    const std::uint64_t bit = std::uint64_t{1} << i;
+    if (b.key[i] < probe_key) m.key_below |= bit;
+    if (b.t0[i] < cutoff) m.below_reach |= bit;
+    if (b.dead[i] == 0 && b.key[i] == probe_key && b.t0[i] <= t &&
+        b.t1[i] >= t) {
+      m.hits |= bit;
+    }
+  }
+  return m;
+}
+
+/// The lane kernels only run on AVX2 hosts; elsewhere there is nothing to
+/// check (the stores never call them).
 class KernelMaskTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    if (!core::CpuSupportsAvx2()) {
+      GTEST_SKIP() << "host lacks AVX2: no lane kernel runs";
+    }
     // A mix the prefilters have to disagree about: all three slopes, dead
     // slots, boundary-touching spans, and untouched sentinel tails.
     block_.Set(0, 0, 5, 10, 15);                  // slope +1
@@ -129,33 +183,24 @@ TEST_F(KernelMaskTest, SurvivorMasksMatchReferenceAndEachOther) {
     ASSERT_TRUE(is::BuildSegmentProbe(window.first, 0, window.second, 20,
                                       klo, khi, &probe));
     const is::SurvivorMasks want = ReferenceSurvivors(block_, probe);
-    const is::SurvivorMasks batched = is::SegmentSurvivorsBatched(
+    const is::SurvivorMasks avx2 = is::SegmentSurvivorsAvx2(
         block_.t0, block_.p0, block_.t1, block_.p1, block_.dead, probe);
-    EXPECT_EQ(batched.time, want.time) << "window " << window.first;
-    EXPECT_EQ(batched.survivors, want.survivors) << "window " << window.first;
+    EXPECT_EQ(avx2.time, want.time) << "window " << window.first;
+    EXPECT_EQ(avx2.survivors, want.survivors) << "window " << window.first;
     // Survivors pass strictly more prefilters than the time set.
-    EXPECT_EQ(batched.survivors & ~batched.time, 0u);
-    if (core::CpuSupportsAvx2()) {
-      const is::SurvivorMasks avx2 = is::SegmentSurvivorsAvx2(
-          block_.t0, block_.p0, block_.t1, block_.p1, block_.dead, probe);
-      EXPECT_EQ(avx2.time, batched.time) << "window " << window.first;
-      EXPECT_EQ(avx2.survivors, batched.survivors)
-          << "window " << window.first;
-    }
+    EXPECT_EQ(avx2.survivors & ~avx2.time, 0u);
   }
 }
 
 TEST_F(KernelMaskTest, OccupancyMasksAgree) {
   for (std::int32_t t = 0; t <= 14; ++t) {
     for (std::int32_t pos : {0, 5, 7, 10, 15, 20}) {
-      const is::OccupancyMasks batched = is::SegmentOccupancyBatched(
-          block_.t0, block_.p0, block_.t1, block_.p1, block_.dead, t, pos);
-      EXPECT_EQ(batched.hits & ~batched.covering, 0u);
-      if (!core::CpuSupportsAvx2()) continue;
+      const is::OccupancyMasks want = ReferenceOccupancy(block_, t, pos);
       const is::OccupancyMasks avx2 = is::SegmentOccupancyAvx2(
           block_.t0, block_.p0, block_.t1, block_.p1, block_.dead, t, pos);
-      EXPECT_EQ(avx2.covering, batched.covering) << "t=" << t << " p=" << pos;
-      EXPECT_EQ(avx2.hits, batched.hits) << "t=" << t << " p=" << pos;
+      EXPECT_EQ(avx2.covering, want.covering) << "t=" << t << " p=" << pos;
+      EXPECT_EQ(avx2.hits, want.hits) << "t=" << t << " p=" << pos;
+      EXPECT_EQ(avx2.hits & ~avx2.covering, 0u);
     }
   }
 }
@@ -163,24 +208,22 @@ TEST_F(KernelMaskTest, OccupancyMasksAgree) {
 TEST_F(KernelMaskTest, LineMasksAgree) {
   for (const std::int64_t probe_key : {std::int64_t{42}, std::int64_t{77},
                                        std::int64_t{1}, kI64Max}) {
-    const is::LineForwardMasks fb = is::LineForwardBatched(
-        block_.key, block_.t0, block_.t1, block_.dead, probe_key, 5, 10);
-    const is::LineCoverMasks cb = is::LineCoverBatched(
-        block_.key, block_.t0, block_.t1, block_.dead, probe_key, 8, 2);
-    // The key sentinel must read as a forward stop at the logical end.
-    if (probe_key != kI64Max) {
-      EXPECT_NE(fb.stops & (std::uint64_t{1} << 60), 0u);
-    }
-    if (!core::CpuSupportsAvx2()) continue;
+    const is::LineForwardMasks fw =
+        ReferenceLineForward(block_, probe_key, 5, 10);
     const is::LineForwardMasks fa = is::LineForwardAvx2(
         block_.key, block_.t0, block_.t1, block_.dead, probe_key, 5, 10);
-    EXPECT_EQ(fa.hits, fb.hits) << "key " << probe_key;
-    EXPECT_EQ(fa.stops, fb.stops) << "key " << probe_key;
+    EXPECT_EQ(fa.hits, fw.hits) << "key " << probe_key;
+    EXPECT_EQ(fa.stops, fw.stops) << "key " << probe_key;
+    // The key sentinel must read as a forward stop at the logical end.
+    if (probe_key != kI64Max) {
+      EXPECT_NE(fa.stops & (std::uint64_t{1} << 60), 0u);
+    }
+    const is::LineCoverMasks cw = ReferenceLineCover(block_, probe_key, 8, 2);
     const is::LineCoverMasks ca = is::LineCoverAvx2(
         block_.key, block_.t0, block_.t1, block_.dead, probe_key, 8, 2);
-    EXPECT_EQ(ca.hits, cb.hits) << "key " << probe_key;
-    EXPECT_EQ(ca.key_below, cb.key_below) << "key " << probe_key;
-    EXPECT_EQ(ca.below_reach, cb.below_reach) << "key " << probe_key;
+    EXPECT_EQ(ca.hits, cw.hits) << "key " << probe_key;
+    EXPECT_EQ(ca.key_below, cw.key_below) << "key " << probe_key;
+    EXPECT_EQ(ca.below_reach, cw.below_reach) << "key " << probe_key;
   }
 }
 
@@ -195,9 +238,11 @@ struct SweepCase {
   CollisionKernel kernel;
 };
 
-std::string SweepName(const ::testing::TestParamInfo<SweepCase>& info) {
-  return std::string(info.param.indexed ? "indexed" : "naive") + "_" +
-         core::ToString(info.param.kernel);
+// Names each case by its store and kernel; the default printer dumps the
+// struct's bytes, padding included, so the listed test names would change
+// per build.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << (c.indexed ? "indexed" : "naive") << "_" << core::ToString(c.kernel);
 }
 
 geometry::Segment RandomStripSegment(Rng& rng) {
@@ -314,12 +359,9 @@ TEST_P(KernelSweepTest, ExaminedCountersMatchScalarKernel) {
 INSTANTIATE_TEST_SUITE_P(
     AllKernels, KernelSweepTest,
     ::testing::Values(SweepCase{false, CollisionKernel::kScalar},
-                      SweepCase{false, CollisionKernel::kBatched},
                       SweepCase{false, CollisionKernel::kAvx2},
                       SweepCase{true, CollisionKernel::kScalar},
-                      SweepCase{true, CollisionKernel::kBatched},
-                      SweepCase{true, CollisionKernel::kAvx2}),
-    SweepName);
+                      SweepCase{true, CollisionKernel::kAvx2}));
 
 // ---------------------------------------------------------------------------
 // Dispatch: construction-time resolution honours CPUID, the environment
@@ -334,8 +376,8 @@ class KernelDispatchTest : public ::testing::Test {
 
 TEST_F(KernelDispatchTest, ResolveNeverReturnsAuto) {
   for (const CollisionKernel k :
-       {CollisionKernel::kScalar, CollisionKernel::kBatched,
-        CollisionKernel::kAvx2, CollisionKernel::kAuto}) {
+       {CollisionKernel::kScalar, CollisionKernel::kAvx2,
+        CollisionKernel::kAuto}) {
     EXPECT_NE(core::ResolveCollisionKernel(k), CollisionKernel::kAuto);
   }
 }
@@ -362,28 +404,35 @@ TEST_F(KernelDispatchTest, ExplicitAvx2DegradesWithoutCpuSupport) {
 }
 
 TEST_F(KernelDispatchTest, ForceKernelOverridesRequestAtConstruction) {
-  setenv("CARP_FORCE_KERNEL", "batched", 1);
-  NaiveSegmentStore store(/*summary_pruning=*/true, CollisionKernel::kScalar);
-  EXPECT_EQ(store.kernel(), CollisionKernel::kBatched);
+  setenv("CARP_FORCE_KERNEL", "scalar", 1);
   IndexedSegmentStore indexed(/*summary_pruning=*/true,
                               CollisionKernel::kAvx2);
-  EXPECT_EQ(indexed.kernel(), CollisionKernel::kBatched);
+  EXPECT_EQ(indexed.kernel(), CollisionKernel::kScalar);
   // An invalid spelling is ignored, not fatal.
   setenv("CARP_FORCE_KERNEL", "simd512", 1);
   NaiveSegmentStore fallback(/*summary_pruning=*/true,
                              CollisionKernel::kScalar);
   EXPECT_EQ(fallback.kernel(), CollisionKernel::kScalar);
+  // So is "batched", which names no kernel.
+  CollisionKernel parsed = CollisionKernel::kAuto;
+  EXPECT_FALSE(core::ParseCollisionKernel("batched", &parsed));
+  EXPECT_EQ(parsed, CollisionKernel::kAuto);  // untouched on failure
+  setenv("CARP_FORCE_KERNEL", "batched", 1);
+  NaiveSegmentStore unnamed(/*summary_pruning=*/true, CollisionKernel::kAvx2);
+  EXPECT_EQ(unnamed.kernel(), core::CpuSupportsAvx2()
+                                  ? CollisionKernel::kAvx2
+                                  : CollisionKernel::kScalar);
 }
 
 TEST_F(KernelDispatchTest, PlannerOptionReachesStoresAndStats) {
   const layout::Warehouse warehouse =
       layout::GenerateWarehouse(layout::PresetTiny());
   SrpPlannerOptions options;
-  options.kernel = CollisionKernel::kBatched;
+  options.kernel = CollisionKernel::kScalar;
   SrpPlanner planner(warehouse.matrix, options);
   auto route = planner.PlanRoute(0, GridCoord{0, 0}, GridCoord{0, 20});
   ASSERT_TRUE(route.has_value());
-  EXPECT_EQ(planner.stats().collision_kernel, CollisionKernel::kBatched);
+  EXPECT_EQ(planner.stats().collision_kernel, CollisionKernel::kScalar);
 }
 
 }  // namespace

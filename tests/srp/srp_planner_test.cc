@@ -113,6 +113,13 @@ struct WorkloadParam {
   TimeStep day_length;
 };
 
+// Names each case by its knobs; the default printer dumps the struct's
+// bytes, padding included, so the listed test names would change per run.
+void PrintTo(const WorkloadParam& p, std::ostream* os) {
+  *os << "seed" << p.seed << "_tasks" << p.tasks
+      << (p.use_index ? "_indexed" : "_naive") << "_day" << p.day_length;
+}
+
 class SrpWorkloadTest : public ::testing::TestWithParam<WorkloadParam> {};
 
 TEST_P(SrpWorkloadTest, CommittedRoutesAlwaysCollisionFree) {
